@@ -50,16 +50,12 @@ from .decision import (  # noqa: F401
 )
 from .pipeline import (  # noqa: F401
     Distribution,
-    FramePipeline,
     SessionTrace,
     StabilityVerdict,
     StageName,
     StageProfile,
-    SyntheticStage,
     TimingRecord,
     TimingSummary,
-    VirtualClock,
-    WallClock,
     load_stage_sets,
     queue_stability,
     simulate_session,

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime or I/O error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -46,6 +47,7 @@ from .decision import (
 )
 from .pipeline import (
     TIMING_CSV_HEADER,
+    StatPair,
     average_stage_set,
     load_stage_sets,
     queue_stability,
@@ -132,6 +134,31 @@ def _emit(args, table: ReportTable, payload: dict) -> None:
         print(table.render())
 
 
+TIMING_STAGES = ("face", "landmark", "blink", "total")
+
+
+def _stages_json(stats: list[StatPair]) -> dict:
+    """``{stage: {"mean_ms", "std_ms"}}`` over the ``TIMING_STAGES`` columns."""
+    return {name: dataclasses.asdict(stat) for name, stat in zip(TIMING_STAGES, stats)}
+
+
+def _round_trip_json(records) -> dict:
+    """``inter_arrival_us`` and ``rtt_us`` summaries of one round-trip run."""
+    stats = interval_stats(records)
+    rtts = [r.rtt_us for r in records]
+    return {
+        "inter_arrival_us": {
+            "count": stats.count,
+            "mean": stats.mean_us,
+            "std": stats.std_us,
+            "median": stats.median_us,
+            "min": stats.min_us,
+            "max": stats.max_us,
+        },
+        "rtt_us": {"mean": statistics.fmean(rtts), "std": statistics.pstdev(rtts)},
+    }
+
+
 def cmd_echo_server(args) -> int:
     host, port = _parse_endpoint(args.listen)
     run_echo_server(host, port)
@@ -174,32 +201,21 @@ def cmd_stream_bench(args) -> int:
             records = stream_and_measure(
                 host, port, args.fps, args.frames, width, height, pixel_format
             )
-            stats = interval_stats(records)
-            rtts = [r.rtt_us for r in records]
+            summary = _round_trip_json(records)
+            gaps, rtt = summary["inter_arrival_us"], summary["rtt_us"]
             bandwidth = raw_bandwidth(width, height, 24, round(args.fps))
             table.add_row(
                 f"{width}x{height}",
                 len(records),
-                mean_std_cell(stats.mean_us / 1000, stats.std_us / 1000),
-                f"{stats.median_us / 1000:.3f}",
-                mean_std_cell(statistics.fmean(rtts) / 1000, statistics.pstdev(rtts) / 1000),
+                mean_std_cell(gaps["mean"] / 1000, gaps["std"] / 1000),
+                f"{gaps['median'] / 1000:.3f}",
+                mean_std_cell(rtt["mean"] / 1000, rtt["std"] / 1000),
                 f"{bandwidth / 1e6:.3f}",
             )
             payload["resolutions"].append(
                 {
                     "resolution": f"{width}x{height}",
-                    "inter_arrival_us": {
-                        "count": stats.count,
-                        "mean": stats.mean_us,
-                        "std": stats.std_us,
-                        "median": stats.median_us,
-                        "min": stats.min_us,
-                        "max": stats.max_us,
-                    },
-                    "rtt_us": {
-                        "mean": statistics.fmean(rtts),
-                        "std": statistics.pstdev(rtts),
-                    },
+                    **summary,
                     "raw_bandwidth_bps": bandwidth,
                 }
             )
@@ -231,35 +247,25 @@ def cmd_pipeline_bench(args) -> int:
     for index, (name, profiles) in enumerate(stage_sets.items()):
         trace = simulate_session(args.fps, duration_s, profiles, args.seed + index)
         summary = summarize_timings(trace.records)
+        stats = [summary.face, summary.landmark, summary.blink, summary.total]
         verdict = queue_stability(profiles, args.fps)
         if verdict.stable:
             verdict_text = (
-                f"stable (service {verdict.service_ms:.3f} ms <= "
+                f"stable (service {verdict.service_ms:.3f} ms < "
                 f"budget {verdict.budget_ms:.3f} ms)"
             )
         else:
             verdict_text = f"unstable (backlog +{verdict.backlog_growth_rate:.2f} frames/s)"
         table.add_row(
             name,
-            mean_std_cell(summary.face.mean_ms, summary.face.std_ms),
-            mean_std_cell(summary.landmark.mean_ms, summary.landmark.std_ms),
-            mean_std_cell(summary.blink.mean_ms, summary.blink.std_ms),
-            mean_std_cell(summary.total.mean_ms, summary.total.std_ms),
+            *(mean_std_cell(stat.mean_ms, stat.std_ms) for stat in stats),
             trace.max_queue_length,
             verdict_text,
         )
         payload["profiles"].append(
             {
                 "profile": name,
-                "stages": {
-                    "face": {"mean_ms": summary.face.mean_ms, "std_ms": summary.face.std_ms},
-                    "landmark": {
-                        "mean_ms": summary.landmark.mean_ms,
-                        "std_ms": summary.landmark.std_ms,
-                    },
-                    "blink": {"mean_ms": summary.blink.mean_ms, "std_ms": summary.blink.std_ms},
-                    "total": {"mean_ms": summary.total.mean_ms, "std_ms": summary.total.std_ms},
-                },
+                "stages": _stages_json(stats),
                 "max_queue_length": trace.max_queue_length,
                 "backlog": trace.backlog,
                 "stable": verdict.stable,
@@ -458,42 +464,29 @@ def cmd_report(args) -> int:
             title=f"timing summary of {args.infile} ({len(rows)} frames)",
             headers=["stage", "duration ms"],
         )
-        payload = {"frames": len(rows), "stages": {}}
-        for stage in ("face_ms", "landmark_ms", "blink_ms", "total_ms"):
-            values = [row[stage] for row in rows]
-            mean, std = statistics.fmean(values), statistics.pstdev(values)
-            table.add_row(stage.removesuffix("_ms"), mean_std_cell(mean, std))
-            payload["stages"][stage.removesuffix("_ms")] = {"mean_ms": mean, "std_ms": std}
-        _emit(args, table, payload)
+        stats = []
+        for stage in TIMING_STAGES:
+            values = [row[f"{stage}_ms"] for row in rows]
+            stat = StatPair(statistics.fmean(values), statistics.pstdev(values))
+            table.add_row(stage, mean_std_cell(stat.mean_ms, stat.std_ms))
+            stats.append(stat)
+        _emit(args, table, {"frames": len(rows), "stages": _stages_json(stats)})
         return 0
 
     if header == RTT_CSV_HEADER:
         records = read_rtt_csv(args.infile)
         if len(records) < 2:
             raise DegenerateDataError(f"{args.infile} holds fewer than two records")
-        stats = interval_stats(records)
-        rtts = [r.rtt_us for r in records]
+        summary = _round_trip_json(records)
+        gaps, rtt = summary["inter_arrival_us"], summary["rtt_us"]
         table = ReportTable(
             title=f"round-trip summary of {args.infile} ({len(records)} frames)",
             headers=["metric", "value ms"],
         )
-        table.add_row("inter-arrival", mean_std_cell(stats.mean_us / 1000, stats.std_us / 1000))
-        table.add_row("inter-arrival median", f"{stats.median_us / 1000:.3f}")
-        table.add_row("rtt", mean_std_cell(
-            statistics.fmean(rtts) / 1000, statistics.pstdev(rtts) / 1000))
-        payload = {
-            "frames": len(records),
-            "inter_arrival_us": {
-                "count": stats.count,
-                "mean": stats.mean_us,
-                "std": stats.std_us,
-                "median": stats.median_us,
-                "min": stats.min_us,
-                "max": stats.max_us,
-            },
-            "rtt_us": {"mean": statistics.fmean(rtts), "std": statistics.pstdev(rtts)},
-        }
-        _emit(args, table, payload)
+        table.add_row("inter-arrival", mean_std_cell(gaps["mean"] / 1000, gaps["std"] / 1000))
+        table.add_row("inter-arrival median", f"{gaps['median'] / 1000:.3f}")
+        table.add_row("rtt", mean_std_cell(rtt["mean"] / 1000, rtt["std"] / 1000))
+        _emit(args, table, {"frames": len(records), **summary})
         return 0
 
     raise ValueError(f"{args.infile}: unrecognized CSV header {first!r}")

@@ -1,16 +1,17 @@
-"""Staged frame-processing pipeline and its queueing simulator.
+"""Frame-processing pipeline simulator and queue-stability analysis.
 
 A frame passes through three stages in fixed order: face detection,
-landmark detection, blink detection.  The pipeline timestamps the frame
-when processing starts and after each stage, which is all the
+landmark detection, blink detection.  Each frame is timestamped when
+processing starts and after each stage, which is all the
 instrumentation needed to recover per-stage durations.
 
-Stages are pluggable: a real stage does actual work under a wall clock,
-a synthetic stage advances a virtual clock by a sampled service time.
-``simulate_session`` runs synthetic stages behind a single-server FIFO
-queue fed at a fixed frame rate, entirely on the virtual clock, so a
-multi-minute session simulates in milliseconds and is exactly
-reproducible from its seed.
+``simulate_session`` feeds one worker at a fixed frame rate and serves
+frames first in, first out.  Frame k arrives at ``a_k = k / fps``; its
+service starts at ``s_k = max(a_k, d_{k-1})`` (Lindley's recursion for
+a single-server queue) and ends at ``d_k = s_k + face + landmark +
+blink``, each stage time drawn from its profile.  Time is computed, not
+measured, so a multi-minute session simulates in milliseconds and is
+exactly reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 import math
 import random
 import statistics
-import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -41,10 +41,6 @@ STAGE_ORDER = (StageName.FACE, StageName.LANDMARK, StageName.BLINK)
 class Distribution(str, Enum):
     DETERMINISTIC = "deterministic"
     TRUNC_NORMAL = "trunc_normal"
-
-
-class StageFailure(Exception):
-    """Raised by a stage to signal that it could not process the frame."""
 
 
 @dataclass(frozen=True)
@@ -72,20 +68,14 @@ class TimingRecord:
     """Timestamps (microseconds) of one frame's trip through the stages.
 
     ``recv_ts_us`` is taken when processing starts; each ``*_done``
-    timestamp is taken right after its stage.  If a stage fails, it is
-    named in ``failed_stage`` and all later timestamps are None.
+    timestamp is taken right after its stage.
     """
 
     frame_id: int
     recv_ts_us: float
-    face_done_ts_us: float | None
-    landmark_done_ts_us: float | None
-    blink_done_ts_us: float | None
-    failed_stage: StageName | None = None
-
-    @property
-    def complete(self) -> bool:
-        return self.blink_done_ts_us is not None
+    face_done_ts_us: float
+    landmark_done_ts_us: float
+    blink_done_ts_us: float
 
     @property
     def face_ms(self) -> float:
@@ -102,32 +92,6 @@ class TimingRecord:
     @property
     def total_ms(self) -> float:
         return (self.blink_done_ts_us - self.recv_ts_us) / 1000.0
-
-
-class VirtualClock:
-    """Monotone simulated clock in microseconds."""
-
-    def __init__(self, start_us: float = 0.0):
-        self._now_us = float(start_us)
-
-    def now_us(self) -> float:
-        return self._now_us
-
-    def advance_us(self, delta_us: float) -> None:
-        if delta_us < 0:
-            raise ValueError(f"cannot advance by {delta_us} us")
-        self._now_us += delta_us
-
-    def advance_to_us(self, ts_us: float) -> None:
-        if ts_us > self._now_us:
-            self._now_us = ts_us
-
-
-class WallClock:
-    """Real monotonic clock in microseconds."""
-
-    def now_us(self) -> float:
-        return time.monotonic_ns() / 1000.0
 
 
 def _norm_pdf(x: float) -> float:
@@ -192,50 +156,6 @@ def make_sampler(profile: StageProfile, rng: random.Random) -> Callable[[], floa
     return lambda: max(0.0, rng.gauss(a, b))
 
 
-class SyntheticStage:
-    """Stage that consumes virtual time instead of doing work."""
-
-    def __init__(self, profile: StageProfile, clock: VirtualClock, rng: random.Random):
-        self.name = profile.name
-        self.profile = profile
-        self._clock = clock
-        self._sample = make_sampler(profile, rng)
-
-    def __call__(self, frame: object) -> None:
-        self._clock.advance_us(self._sample() * 1000.0)
-
-
-class FramePipeline:
-    """Runs the three stages in order, timestamping after each one."""
-
-    def __init__(self, stages: Mapping[StageName, Callable[[object], None]], clock):
-        missing = [name.value for name in STAGE_ORDER if name not in stages]
-        if missing:
-            raise ValueError(f"missing stages: {', '.join(missing)}")
-        self.stages = dict(stages)
-        self.clock = clock
-
-    def process_frame(self, frame_id: int, frame: object = None) -> TimingRecord:
-        recv = self.clock.now_us()
-        done: dict[StageName, float] = {}
-        failed = None
-        for name in STAGE_ORDER:
-            try:
-                self.stages[name](frame)
-            except StageFailure:
-                failed = name
-                break
-            done[name] = self.clock.now_us()
-        return TimingRecord(
-            frame_id=frame_id,
-            recv_ts_us=recv,
-            face_done_ts_us=done.get(StageName.FACE),
-            landmark_done_ts_us=done.get(StageName.LANDMARK),
-            blink_done_ts_us=done.get(StageName.BLINK),
-            failed_stage=failed,
-        )
-
-
 @dataclass(frozen=True)
 class StatPair:
     mean_ms: float
@@ -252,20 +172,20 @@ class TimingSummary:
 
 
 def summarize_timings(records: Iterable[TimingRecord]) -> TimingSummary:
-    """Per-stage and total duration statistics over complete records."""
-    complete = [r for r in records if r.complete]
-    if not complete:
-        raise ValueError("no complete records to summarize")
+    """Per-stage and total duration statistics."""
+    records = list(records)
+    if not records:
+        raise ValueError("no records to summarize")
 
     def stat(values: list[float]) -> StatPair:
         return StatPair(statistics.fmean(values), statistics.pstdev(values))
 
     return TimingSummary(
-        count=len(complete),
-        face=stat([r.face_ms for r in complete]),
-        landmark=stat([r.landmark_ms for r in complete]),
-        blink=stat([r.blink_ms for r in complete]),
-        total=stat([r.total_ms for r in complete]),
+        count=len(records),
+        face=stat([r.face_ms for r in records]),
+        landmark=stat([r.landmark_ms for r in records]),
+        blink=stat([r.blink_ms for r in records]),
+        total=stat([r.total_ms for r in records]),
     )
 
 
@@ -273,9 +193,12 @@ def summarize_timings(records: Iterable[TimingRecord]) -> TimingSummary:
 class StabilityVerdict:
     """Whether a stage set keeps up with the frame rate.
 
-    The queue is stable when the mean service time fits in the frame
-    period; otherwise the backlog grows at ``fps - 1000 / mean`` frames
-    per second.  ``stable`` is exactly ``backlog_growth_rate == 0``.
+    The queue is stable when the mean service time is shorter than the
+    frame period, i.e. utilisation is below 1.  Above 1 the backlog
+    grows at ``fps - 1000 / mean`` frames per second.  At exactly 1 the
+    growth rate is 0 but the queue is not stable: with any spread in
+    service time the backlog is null-recurrent and wanders like the
+    square root of the frame count.
     """
 
     stable: bool
@@ -291,7 +214,7 @@ def queue_stability(profiles: Iterable[StageProfile], fps: float) -> StabilityVe
     budget_ms = 1000.0 / fps
     growth = max(0.0, fps - 1000.0 / service_ms)
     return StabilityVerdict(
-        stable=growth == 0.0,
+        stable=service_ms < budget_ms,
         backlog_growth_rate=growth,
         service_ms=service_ms,
         budget_ms=budget_ms,
@@ -312,7 +235,6 @@ class SessionTrace:
     duration_s: float
     records: tuple[TimingRecord, ...]
     queue_length_at_arrival: tuple[int, ...]
-    dropped: int = 0
 
     @property
     def arrived(self) -> int:
@@ -340,34 +262,40 @@ def simulate_session(
 ) -> SessionTrace:
     """Simulate a single-worker FIFO pipeline fed at ``fps`` for ``duration_s``.
 
-    Frames arrive every 1/fps on the virtual clock and are served in
-    order by one worker running the three synthetic stages.  The same
-    seed always yields the same trace.
+    Frames arrive every 1/fps and are served in order by one worker
+    running the three stages, each stage time drawn from its profile in
+    the order face, landmark, blink from one ``random.Random(seed)``.
+    The same seed always yields the same trace.
     """
     if fps <= 0:
         raise ValueError(f"fps must be positive, got {fps}")
     if duration_s <= 0:
         raise ValueError(f"duration_s must be positive, got {duration_s}")
-
     by_name = {p.name: p for p in profiles}
-    rng = random.Random(seed)
-    clock = VirtualClock()
-    pipeline = FramePipeline(
-        {name: SyntheticStage(by_name[name], clock, rng) for name in STAGE_ORDER}, clock
-    )
+    missing = [name.value for name in STAGE_ORDER if name not in by_name]
+    if missing:
+        raise ValueError(f"missing stages: {', '.join(missing)}")
 
+    rng = random.Random(seed)
+    face, landmark, blink = (make_sampler(by_name[name], rng) for name in STAGE_ORDER)
     n_frames = round(fps * duration_s)
     period_us = 1e6 / fps
     records: list[TimingRecord] = []
     queue_lengths: list[int] = []
     finished = 0  # frames whose service ended at or before the current arrival
+    done_us = 0.0
     for k in range(n_frames):
         arrival_us = k * period_us
         while finished < k and records[finished].blink_done_ts_us <= arrival_us:
             finished += 1
         queue_lengths.append(k - finished)
-        clock.advance_to_us(arrival_us)
-        records.append(pipeline.process_frame(k))
+        # chain the stage timestamps: summing the three samples first would
+        # round differently and change seeded traces
+        start_us = max(arrival_us, done_us)
+        face_us = start_us + face() * 1000.0
+        landmark_us = face_us + landmark() * 1000.0
+        done_us = landmark_us + blink() * 1000.0
+        records.append(TimingRecord(k, start_us, face_us, landmark_us, done_us))
 
     return SessionTrace(
         fps=fps,
@@ -430,13 +358,11 @@ def average_stage_set(stage_sets: Mapping[str, list[StageProfile]]) -> list[Stag
 
 
 def write_timings_csv(records: Iterable[TimingRecord], path: str | Path) -> None:
-    """Export per-frame stage durations (complete records only)."""
+    """Export per-frame stage durations."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TIMING_CSV_HEADER)
         for r in records:
-            if not r.complete:
-                continue
             writer.writerow([r.frame_id, r.face_ms, r.landmark_ms, r.blink_ms, r.total_ms])
 
 

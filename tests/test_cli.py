@@ -1,11 +1,14 @@
 import json
+import os
 import re
 import socket
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import drowsebench
 from drowsebench.cli import main
 from drowsebench.decision import Label, ModelStats, ScoredSequence, write_model_stats_json
 from drowsebench.decision import write_scores_csv
@@ -299,12 +302,19 @@ class TestReport:
     def test_rtt_report(self, tmp_path, capsys):
         prefix = tmp_path / "rtt"
         assert main(["stream-bench", "--loopback", "--fps", "200", "--frames", "10",
-                     "--res", "8x8", "--out", str(prefix)]) == 0
-        capsys.readouterr()
+                     "--res", "8x8", "--out", str(prefix), "--json"]) == 0
+        (bench,) = json.loads(capsys.readouterr().out)["resolutions"]
         assert main(["report", "--in", str(tmp_path / "rtt-8x8.csv")]) == 0
         out = capsys.readouterr().out
         assert "round-trip summary" in out
         assert "inter-arrival" in out
+
+        # RTT CSVs hold integers, so the summary round-trips exactly
+        assert main(["report", "--in", str(tmp_path / "rtt-8x8.csv"), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["frames"] == 10
+        assert report["inter_arrival_us"] == bench["inter_arrival_us"]
+        assert report["rtt_us"] == bench["rtt_us"]
 
     def test_unknown_header(self, tmp_path, capsys):
         path = tmp_path / "other.csv"
@@ -318,8 +328,14 @@ class TestReport:
 
 
 def test_module_entry_point():
+    # run the package under test, which pytest may have put on sys.path itself
+    src = str(Path(drowsebench.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "drowsebench", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "drowsebench", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert "usage" in proc.stdout

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -6,14 +7,9 @@ import pytest
 from drowsebench.pipeline import (
     STAGE_ORDER,
     Distribution,
-    FramePipeline,
-    StageFailure,
     StageName,
     StageProfile,
-    SyntheticStage,
     TimingRecord,
-    VirtualClock,
-    WallClock,
     average_stage_set,
     clamped_normal_moments,
     clamped_normal_params,
@@ -33,13 +29,6 @@ def det_profiles(face=1.0, landmark=1.0, blink=1.0):
         StageProfile(StageName.LANDMARK, landmark, 0.0, Distribution.DETERMINISTIC),
         StageProfile(StageName.BLINK, blink, 0.0, Distribution.DETERMINISTIC),
     ]
-
-
-def synthetic_pipeline(profiles, seed=0):
-    clock = VirtualClock()
-    rng = random.Random(seed)
-    stages = {p.name: SyntheticStage(p, clock, rng) for p in profiles}
-    return FramePipeline(stages, clock), clock
 
 
 class TestClampedNormal:
@@ -95,48 +84,19 @@ class TestStageProfile:
 
 class TestFramePipeline:
     def test_deterministic_millisecond_stages(self):
-        pipeline, _ = synthetic_pipeline(det_profiles())
-        rec = pipeline.process_frame(0)
+        rec = simulate_session(1, 1, det_profiles(), seed=0).records[0]
         assert rec.recv_ts_us == 0.0
         assert rec.face_done_ts_us == 1000.0
         assert rec.landmark_done_ts_us == 2000.0
         assert rec.blink_done_ts_us == 3000.0
-        assert rec.complete
         assert (rec.face_ms, rec.landmark_ms, rec.blink_ms, rec.total_ms) == (1.0, 1.0, 1.0, 3.0)
 
-    def test_stage_failure_truncates_record(self):
-        clock = VirtualClock()
-        rng = random.Random(0)
-        face = SyntheticStage(det_profiles()[0], clock, rng)
-
-        def lose_face(frame):
-            raise StageFailure("no landmarks")
-
-        pipeline = FramePipeline(
-            {StageName.FACE: face, StageName.LANDMARK: lose_face, StageName.BLINK: face}, clock
-        )
-        rec = pipeline.process_frame(7)
-        assert rec.failed_stage is StageName.LANDMARK
-        assert rec.face_done_ts_us == 1000.0
-        assert rec.landmark_done_ts_us is None
-        assert rec.blink_done_ts_us is None
-        assert not rec.complete
-
     def test_missing_stage_rejected(self):
-        clock = VirtualClock()
-        with pytest.raises(ValueError, match="landmark"):
-            FramePipeline({StageName.FACE: lambda f: None, StageName.BLINK: lambda f: None}, clock)
-
-    def test_wall_clock_stages(self):
-        pipeline = FramePipeline({name: (lambda f: None) for name in STAGE_ORDER}, WallClock())
-        rec = pipeline.process_frame(0)
-        assert rec.complete
-        assert (
-            rec.recv_ts_us
-            <= rec.face_done_ts_us
-            <= rec.landmark_done_ts_us
-            <= rec.blink_done_ts_us
-        )
+        face, landmark, blink = det_profiles()
+        with pytest.raises(ValueError, match="missing stages: landmark$"):
+            simulate_session(30, 1, [face, blink], seed=0)
+        with pytest.raises(ValueError, match="missing stages: face, blink$"):
+            simulate_session(30, 1, [landmark], seed=0)
 
 
 class TestSimulateSession:
@@ -160,6 +120,14 @@ class TestSimulateSession:
         verdict = queue_stability(profiles, 30)
         assert verdict.backlog_growth_rate * 10 == pytest.approx(trace.backlog)
 
+    def test_finishing_at_next_arrival_is_not_queued(self):
+        # service equals the frame period, so each frame ends exactly when
+        # the next one arrives: a frame done at an arrival is out of the system
+        trace = simulate_session(10, 3, det_profiles(50.0, 30.0, 20.0), seed=0)
+        assert [r.recv_ts_us for r in trace.records] == [k * 1e5 for k in range(30)]
+        assert trace.max_queue_length == 0
+        assert trace.backlog == 0
+
     def test_start_times_follow_fifo_recurrence(self):
         profiles = [
             StageProfile(StageName.FACE, 20.0, 4.0),
@@ -169,7 +137,6 @@ class TestSimulateSession:
         trace = simulate_session(30, 3, profiles, seed=11)
         period_us = 1e6 / 30
         for k, rec in enumerate(trace.records):
-            assert rec.complete
             arrival = k * period_us
             expected = arrival if k == 0 else max(arrival, trace.records[k - 1].blink_done_ts_us)
             assert rec.recv_ts_us == expected
@@ -194,6 +161,139 @@ class TestSimulateSession:
             simulate_session(30, 0, det_profiles(), seed=0)
 
 
+# SHA-256 of repr((rows, queue_length_at_arrival)) of a 10 s session at
+# 30 fps, one row (frame_id, recv, face_done, landmark_done, blink_done) per
+# frame.  A change in sampling order or in float rounding changes them.
+GOLDEN_TRACE_SHA256 = {
+    ("desktop-pc", "320x240", 0):
+        "6936d4f00d28c4df0071f3b70ca9836f1d9d70129ecb561080228c96182fee39",
+    ("desktop-pc", "320x240", 1):
+        "a8d0961fe8667c399b8eeb8e20c93b1216c984c1843ce8e45882a5a566fcb8f9",
+    ("desktop-pc", "640x480", 0):
+        "4f6e09ee8edd96f9ab3444626f00de804f9f017f5e9fd8fb616275023972e761",
+    ("desktop-pc", "640x480", 1):
+        "b21d12eea48c437e3287a6afd17303ee80eb5212b302c79e2e13e0624d6325a2",
+    ("desktop-pc", "960x540", 0):
+        "e36a6f9cf3aeba7b61106d42f4c1d0a82f428f1ff037a9d46419688d8829c712",
+    ("desktop-pc", "960x540", 1):
+        "fffa0c3ffd92fde6275ab7017f57fedca9f035ae8e16e0ea7e1976cb5b1064e5",
+    ("desktop-pc", "1280x720", 0):
+        "76f3dc164731ffb8c7706c9d2772c954a5b5e217af021ecae0b3ce597fe94fd7",
+    ("desktop-pc", "1280x720", 1):
+        "db73e0f44278f8aaed8ce44ea77d1bd64e12019fac1fa06be817fdc7aa7e7c2b",
+    ("desktop-pc", "average", 0):
+        "44be1eb1dfd7e136f6e1269ae0ee4d21a432655ce3959b0877410b159ba14e25",
+    ("desktop-pc", "average", 1):
+        "ccc435b53081aa106d857a8caadc5d16f309ec13a909ee845716ef0763f4ebf1",
+    ("jetson-nano", "320x240", 0):
+        "30df0fe89c09dc5758d3bacb3d1a7b2f910cc972161e8ca2a3370eec3a063a43",
+    ("jetson-nano", "320x240", 1):
+        "a84b3901fe2c96cfe6ba043b8dec88b9e49772b781ee2ce433b4b5146168acc7",
+    ("jetson-nano", "640x480", 0):
+        "68a96421bcc788aad4067b4edc00c0e83b74c492d896ec1040bb0a0c39485df7",
+    ("jetson-nano", "640x480", 1):
+        "793849da968a60ef4add91cfdef36c558fc3a02773d3f605df882fdfa69e21d4",
+    ("jetson-nano", "960x540", 0):
+        "97fcb870f9b458ddab7b7106a63251d54c83ac54289cdc6d73865d73547692bd",
+    ("jetson-nano", "960x540", 1):
+        "3d9fa49cceedee2f476d898397d4dd7ebe02162c968b97946a967e8b67e4a8f3",
+    ("jetson-nano", "1280x720", 0):
+        "0405f588cc3c493463804bb0b410f38facc619bb20c0ef921eb10fa6dc16fa8b",
+    ("jetson-nano", "1280x720", 1):
+        "3ebd14f36466695af66ecccbb0be643fdea80b8ba99052e6116e5c5d47376468",
+    ("jetson-nano", "average", 0):
+        "530b90c15ba70fb29a578ca814717f99666c9afbd23663a8adbcf6da54ce5f3c",
+    ("jetson-nano", "average", 1):
+        "f726011c698d9a3abe69a14e123501b0afbc5f44d68eee8d5646f76e7950cb71",
+    ("mini-pc", "320x240", 0):
+        "5e622cd9fa4fb99797d5c2b5c35865932b2601a7926b058ee9c44e3a361c0477",
+    ("mini-pc", "320x240", 1):
+        "f91019b889bc2a9aaef809a2086ec5be6b40b7bb265cc5cdbd3390fab0048cec",
+    ("mini-pc", "640x480", 0):
+        "4ef27f9be2aec5e677779b5c2e471f1070c7333dfe82634fc0e8fc5e374e1ffb",
+    ("mini-pc", "640x480", 1):
+        "be2850c0b6a014bc0a0e95306a1de73878fc38e46642175fcf735f8695f5f2ff",
+    ("mini-pc", "960x540", 0):
+        "cad67ec11aabddd73e4f4f203ec50b0956a24c2e9af88de162ceb244a66fc562",
+    ("mini-pc", "960x540", 1):
+        "65472c5a609e284b1a81fd45bd38d26602c41d7dbb9c0299ce41ee69029a57d8",
+    ("mini-pc", "1280x720", 0):
+        "83ef2a8097f7519961b59e93cd3138f089f3bc36e837f6fc0acbedda1f75a24b",
+    ("mini-pc", "1280x720", 1):
+        "f1f19da3aa875633e792b0398f335b309c090cb828615b141f515d8abaf4c051",
+    ("mini-pc", "average", 0):
+        "d3d548ef9a2ba8420ec7fca15b65062438840827c21231a10209af5d2a4c28b4",
+    ("mini-pc", "average", 1):
+        "e717a21a3e687fe9e77ea661481a57cc699054087cd04cdb18e9f4a43524d1ab",
+}
+
+
+def trace_digest(trace):
+    rows = [
+        (r.frame_id, r.recv_ts_us, r.face_done_ts_us, r.landmark_done_ts_us, r.blink_done_ts_us)
+        for r in trace.records
+    ]
+    return hashlib.sha256(repr((rows, list(trace.queue_length_at_arrival))).encode()).hexdigest()
+
+
+class TestSeededTraces:
+    def test_shipped_profiles_match_recorded_digests(self, profiles_dir):
+        digests = {}
+        for device in ("desktop-pc", "jetson-nano", "mini-pc"):
+            sets = load_stage_sets(profiles_dir / f"{device}.json")
+            sets["average"] = average_stage_set(sets)
+            for name, profiles in sets.items():
+                for seed in (0, 1):
+                    trace = simulate_session(30, 10, profiles, seed)
+                    digests[(device, name, seed)] = trace_digest(trace)
+        assert digests == GOLDEN_TRACE_SHA256
+
+    def test_lindley_invariants_on_random_profiles(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def stage(name):
+            return st.builds(
+                lambda mean, spread, dist: StageProfile(name, mean, mean * spread, dist),
+                st.floats(0.1, 150.0),
+                st.floats(0.0, 2.0),
+                st.sampled_from(Distribution),
+            )
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            profiles=st.tuples(*(stage(name) for name in STAGE_ORDER)),
+            fps=st.floats(1.0, 240.0),
+            n_frames=st.integers(1, 200),
+            seed=st.integers(0, 2**32),
+        )
+        def check(profiles, fps, n_frames, seed):
+            duration_s = n_frames / fps
+            trace = simulate_session(fps, duration_s, profiles, seed)
+            records = trace.records
+            period_us = 1e6 / fps
+            assert trace.arrived == len(trace.queue_length_at_arrival) == round(fps * duration_s)
+            done_prev = 0.0
+            for k, rec in enumerate(records):
+                arrival_us = k * period_us
+                assert rec.frame_id == k
+                assert rec.recv_ts_us == max(arrival_us, done_prev)
+                assert (
+                    rec.recv_ts_us
+                    <= rec.face_done_ts_us
+                    <= rec.landmark_done_ts_us
+                    <= rec.blink_done_ts_us
+                )
+                in_system = sum(1 for r in records[:k] if r.blink_done_ts_us > arrival_us)
+                assert trace.queue_length_at_arrival[k] == in_system
+                done_prev = rec.blink_done_ts_us
+            end_us = duration_s * 1e6
+            assert trace.completed == sum(1 for r in records if r.blink_done_ts_us <= end_us)
+            assert trace.completed + trace.backlog == trace.arrived
+
+        check()
+
+
 class TestQueueStability:
     def test_light_load_is_stable(self):
         verdict = queue_stability(det_profiles(10.0, 2.0, 1.0), fps=30)
@@ -207,31 +307,48 @@ class TestQueueStability:
         assert not verdict.stable
         assert verdict.backlog_growth_rate == pytest.approx(30 - 10.0)
 
-    def test_exact_boundary_is_stable(self):
-        verdict = queue_stability(det_profiles(50.0, 30.0, 20.0), fps=10)
-        assert verdict.service_ms == 100.0
-        assert verdict.stable
+    def test_exact_boundary_is_unstable(self):
+        # utilisation exactly 1 has no linear backlog growth, but no slack
+        # either: with any service-time spread the backlog is unbounded
+        profiles = det_profiles(50.0, 30.0, 20.0)
+        verdict = queue_stability(profiles, fps=10)
+        assert verdict.service_ms == verdict.budget_ms == 100.0
+        assert not verdict.stable
         assert verdict.backlog_growth_rate == 0.0
 
-    def test_stable_iff_growth_zero(self):
+        just_below = queue_stability(profiles, fps=math.nextafter(10.0, 0.0))
+        assert just_below.service_ms == 100.0 < just_below.budget_ms
+        assert just_below.stable
+        assert just_below.backlog_growth_rate == 0.0
+
+    def test_stable_iff_service_below_budget(self):
+        # the exact boundary is covered above; here the verdict is checked
+        # against a simulated session on either side of it
         for fps in (5, 10, 24, 30, 60):
-            for total in (5.0, 33.0, 100.0, 250.0):
-                verdict = queue_stability(det_profiles(total - 2, 1.0, 1.0), fps)
-                assert verdict.stable == (verdict.backlog_growth_rate == 0.0)
+            for total in (5.0, 33.0, 99.0, 101.0, 250.0):
+                profiles = det_profiles(total - 2, 1.0, 1.0)
+                verdict = queue_stability(profiles, fps)
+                assert verdict.stable == (verdict.service_ms < verdict.budget_ms)
+                trace = simulate_session(fps, 2, profiles, seed=0)
+                if verdict.stable:
+                    assert verdict.backlog_growth_rate == 0.0
+                    assert trace.max_queue_length == 0
+                else:
+                    assert verdict.backlog_growth_rate > 0.0
+                    assert trace.backlog > 0
 
     def test_rejects_bad_fps(self):
         with pytest.raises(ValueError):
             queue_stability(det_profiles(), fps=0)
 
 
-def make_record(frame_id, recv, face, landmark, blink, failed=None):
+def make_record(frame_id, recv, face, landmark, blink):
     return TimingRecord(
         frame_id=frame_id,
         recv_ts_us=recv,
         face_done_ts_us=face,
         landmark_done_ts_us=landmark,
         blink_done_ts_us=blink,
-        failed_stage=failed,
     )
 
 
@@ -248,18 +365,9 @@ class TestSummarizeTimings:
         assert (summary.blink.mean_ms, summary.blink.std_ms) == (1.0, 0.5)
         assert (summary.total.mean_ms, summary.total.std_ms) == (5.5, 2.0)
 
-    def test_failed_records_excluded(self):
-        records = [
-            make_record(0, 0, 2000, 3000, 3500),
-            make_record(1, 0, 1000, None, None, failed=StageName.LANDMARK),
-            make_record(2, 10000, 14000, 16000, 17500),
-        ]
-        assert summarize_timings(records).count == 2
-
-    def test_all_failed_raises(self):
-        records = [make_record(0, 0, None, None, None, failed=StageName.FACE)]
+    def test_empty_raises(self):
         with pytest.raises(ValueError):
-            summarize_timings(records)
+            summarize_timings([])
 
     def test_simulated_session_recovers_profile_means(self):
         profiles = [
@@ -349,10 +457,9 @@ class TestStageSetFiles:
 
 
 class TestTimingsCsv:
-    def test_roundtrip_skips_incomplete(self, tmp_path):
+    def test_roundtrip(self, tmp_path):
         records = [
             make_record(0, 0, 2000, 3000, 3500),
-            make_record(1, 0, 1000, None, None, failed=StageName.LANDMARK),
             make_record(2, 10000, 14000, 16000, 17500),
         ]
         path = tmp_path / "timings.csv"
