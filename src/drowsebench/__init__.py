@@ -26,7 +26,6 @@ from .blink import (  # noqa: F401
     detect_blinks,
     ear,
     extract_all_features,
-    extract_features,
     normalize_features,
 )
 from .decision import (  # noqa: F401

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -75,8 +76,8 @@ class EarSample:
     ear: float
 
     def __post_init__(self):
-        if self.ear < 0:
-            raise ValueError(f"ear must be non-negative, got {self.ear}")
+        if not math.isfinite(self.ear) or self.ear < 0:
+            raise ValueError(f"ear must be finite and non-negative, got {self.ear}")
 
 
 @dataclass(frozen=True)
@@ -165,51 +166,42 @@ class BlinkFeatures:
         return (self.amplitude, self.velocity, self.duration_s, self.freq_per_min)
 
 
-def extract_features(
-    blink: Blink,
-    series: Sequence[EarSample],
-    fps: float,
-    recent_apex_times_s: Sequence[float] = (),
-) -> BlinkFeatures:
-    """Compute one blink's features from its source series.
-
-    ``recent_apex_times_s`` holds apex times (seconds, ``frame / fps``)
-    of earlier blinks; frequency counts those within the trailing 60 s
-    window plus this blink itself.
-    """
-    if fps <= 0:
-        raise ValueError(f"fps must be positive, got {fps}")
-    index_of = {s.frame_id: k for k, s in enumerate(series)}
-    try:
-        start = index_of[blink.start_frame]
-        apex = index_of[blink.apex_frame]
-    except KeyError as exc:
-        raise ValueError(f"blink frame {exc} not present in series") from None
-
-    amplitude = blink.baseline_ear - blink.min_ear
-    drops = [series[k].ear - series[k + 1].ear for k in range(start, apex)]
-    velocity = max(drops, default=0.0) * fps
-    duration_s = (blink.end_frame - blink.start_frame + 1) / fps
-
-    apex_time_s = blink.apex_frame / fps
-    recent = sum(1 for t in recent_apex_times_s if apex_time_s - 60.0 < t <= apex_time_s)
-    return BlinkFeatures(
-        amplitude=amplitude,
-        velocity=velocity,
-        duration_s=duration_s,
-        freq_per_min=float(recent + 1),
-    )
-
-
 def extract_all_features(
     blinks: Sequence[Blink], series: Sequence[EarSample], fps: float
 ) -> list[BlinkFeatures]:
-    """Features for a chronological list of blinks from one series."""
+    """Features for a chronological list of blinks from one series.
+
+    Frequency counts the blink itself plus the earlier apexes (at
+    ``frame / fps`` seconds) in the trailing window ``(apex - 60 s, apex]``.
+    """
+    if not 0 < fps < math.inf:
+        raise ValueError(f"fps must be positive and finite, got {fps}")
+    for earlier, later in zip(blinks, blinks[1:]):
+        if later.apex_frame <= earlier.apex_frame:
+            raise ValueError(f"apex_frame {later.apex_frame} does not follow {earlier.apex_frame}")
+    index_of = {s.frame_id: k for k, s in enumerate(series)}
     features = []
-    apex_times: list[float] = []
+    window: deque[float] = deque()  # earlier apex times, oldest first
     for blink in blinks:
-        features.append(extract_features(blink, series, fps, apex_times))
-        apex_times.append(blink.apex_frame / fps)
+        try:
+            start = index_of[blink.start_frame]
+            apex = index_of[blink.apex_frame]
+        except KeyError as exc:
+            raise ValueError(f"blink frame {exc} not present in series") from None
+
+        drops = [series[k].ear - series[k + 1].ear for k in range(start, apex)]
+        apex_time_s = blink.apex_frame / fps
+        while window and window[0] <= apex_time_s - 60.0:
+            window.popleft()
+        features.append(
+            BlinkFeatures(
+                amplitude=blink.baseline_ear - blink.min_ear,
+                velocity=max(drops, default=0.0) * fps,
+                duration_s=(blink.end_frame - blink.start_frame + 1) / fps,
+                freq_per_min=float(len(window) + 1),
+            )
+        )
+        window.append(apex_time_s)
     return features
 
 
@@ -299,13 +291,13 @@ def read_ear_csv(path: str | Path) -> list[EarSample]:
         if reader.fieldnames != EAR_CSV_HEADER:
             raise ValueError(f"unexpected header {reader.fieldnames} in {path}")
         for row in reader:
-            series.append(
-                EarSample(
-                    frame_id=int(row["frame_id"]),
-                    ts_us=int(row["ts_us"]),
-                    ear=float(row["ear"]),
-                )
-            )
+            try:
+                sample = EarSample(int(row["frame_id"]), int(row["ts_us"]), float(row["ear"]))
+                if series and sample.frame_id <= (last := series[-1].frame_id):
+                    raise ValueError(f"frame_id {sample.frame_id} does not follow {last}")
+            except (TypeError, ValueError) as exc:  # TypeError: a short row
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+            series.append(sample)
     return series
 
 

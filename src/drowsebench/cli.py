@@ -282,8 +282,8 @@ def cmd_detect(args) -> int:
     series = read_ear_csv(args.infile)
     if not series:
         raise DegenerateDataError(f"{args.infile} holds no EAR samples")
-    if args.fps <= 0:
-        raise UsageError(f"--fps must be positive, got {args.fps}")
+    if not 0 < args.fps < float("inf"):
+        raise UsageError(f"--fps must be positive and finite, got {args.fps}")
     try:
         config = BlinkDetectionConfig(
             close_threshold=args.close_threshold, min_closed_frames=args.min_closed_frames
@@ -311,18 +311,7 @@ def cmd_detect(args) -> int:
             f"{feats.freq_per_min:.1f}",
         )
         payload["blinks"].append(
-            {
-                "blink_id": blink_id,
-                "start_frame": blink.start_frame,
-                "apex_frame": blink.apex_frame,
-                "end_frame": blink.end_frame,
-                "min_ear": blink.min_ear,
-                "baseline_ear": blink.baseline_ear,
-                "amplitude": feats.amplitude,
-                "velocity": feats.velocity,
-                "duration_s": feats.duration_s,
-                "freq_per_min": feats.freq_per_min,
-            }
+            {"blink_id": blink_id, **dataclasses.asdict(blink), **dataclasses.asdict(feats)}
         )
     _emit(args, table, payload)
     if args.out:

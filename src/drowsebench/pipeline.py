@@ -57,10 +57,14 @@ class StageProfile:
     dist: Distribution = Distribution.TRUNC_NORMAL
 
     def __post_init__(self):
-        if self.mean_ms <= 0:
-            raise ValueError(f"stage {self.name}: mean_ms must be positive, got {self.mean_ms}")
-        if self.std_ms < 0:
-            raise ValueError(f"stage {self.name}: std_ms must be non-negative, got {self.std_ms}")
+        if not math.isfinite(self.mean_ms) or self.mean_ms <= 0:
+            raise ValueError(
+                f"stage {self.name}: mean_ms must be positive and finite, got {self.mean_ms}"
+            )
+        if not math.isfinite(self.std_ms) or self.std_ms < 0:
+            raise ValueError(
+                f"stage {self.name}: std_ms must be non-negative and finite, got {self.std_ms}"
+            )
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,19 @@ def clamped_normal_params(mean: float, std: float) -> tuple[float, float]:
     return alpha * b, b
 
 
+def _stage_map(profiles: Iterable[StageProfile]) -> dict[StageName, StageProfile]:
+    """Profiles keyed by stage; face, landmark and blink must appear once each."""
+    profiles = list(profiles)
+    by_name = {p.name: p for p in profiles}
+    missing = [name.value for name in STAGE_ORDER if name not in by_name]
+    if missing:
+        raise ValueError(f"missing stages: {', '.join(missing)}")
+    if len(profiles) != len(STAGE_ORDER):
+        names = ", ".join(p.name.value for p in profiles)
+        raise ValueError(f"stage set must define face, landmark and blink once each: {names}")
+    return by_name
+
+
 def make_sampler(profile: StageProfile, rng: random.Random) -> Callable[[], float]:
     """Service-time sampler (milliseconds) for one stage profile."""
     if profile.dist is Distribution.DETERMINISTIC:
@@ -210,7 +227,7 @@ class StabilityVerdict:
 def queue_stability(profiles: Iterable[StageProfile], fps: float) -> StabilityVerdict:
     if fps <= 0:
         raise ValueError(f"fps must be positive, got {fps}")
-    service_ms = sum(p.mean_ms for p in profiles)
+    service_ms = sum(p.mean_ms for p in _stage_map(profiles).values())
     budget_ms = 1000.0 / fps
     growth = max(0.0, fps - 1000.0 / service_ms)
     return StabilityVerdict(
@@ -271,11 +288,7 @@ def simulate_session(
         raise ValueError(f"fps must be positive, got {fps}")
     if duration_s <= 0:
         raise ValueError(f"duration_s must be positive, got {duration_s}")
-    by_name = {p.name: p for p in profiles}
-    missing = [name.value for name in STAGE_ORDER if name not in by_name]
-    if missing:
-        raise ValueError(f"missing stages: {', '.join(missing)}")
-
+    by_name = _stage_map(profiles)
     rng = random.Random(seed)
     face, landmark, blink = (make_sampler(by_name[name], rng) for name in STAGE_ORDER)
     n_frames = round(fps * duration_s)
@@ -326,9 +339,7 @@ def load_stage_sets(path: str | Path) -> dict[str, list[StageProfile]]:
             )
             for entry in obj["stages"]
         ]
-        names = [p.name for p in profiles]
-        if sorted(names, key=STAGE_ORDER.index) != list(STAGE_ORDER) or len(set(names)) != 3:
-            raise ValueError(f"stage set must define face, landmark and blink once each: {names}")
+        _stage_map(profiles)
         return profiles
 
     if "stages" in doc:
@@ -344,8 +355,8 @@ def average_stage_set(stage_sets: Mapping[str, list[StageProfile]]) -> list[Stag
         raise ValueError("no stage sets to average")
     sets = list(stage_sets.values())
     averaged = []
-    for idx, name in enumerate(STAGE_ORDER):
-        rows = [sorted(s, key=lambda p: STAGE_ORDER.index(p.name))[idx] for s in sets]
+    for name in STAGE_ORDER:
+        rows = [_stage_map(s)[name] for s in sets]
         averaged.append(
             StageProfile(
                 name=name,

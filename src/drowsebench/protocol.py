@@ -82,6 +82,13 @@ def expected_payload_len(pixel_format: PixelFormat, width: int, height: int) -> 
     return 0
 
 
+def _pixel_format(raw: int) -> PixelFormat:
+    try:
+        return PixelFormat(raw)
+    except ValueError:
+        raise UnknownPixelFormatError(f"unknown pixel_format byte 0x{raw:02x}") from None
+
+
 @dataclass(frozen=True)
 class FrameMessage:
     """One protocol message, either an outgoing frame or its echo."""
@@ -169,10 +176,7 @@ def decode_frame(data: bytes) -> FrameMessage:
         msg_type = MessageType(raw_type)
     except ValueError:
         raise UnknownMessageTypeError(f"unknown msg_type byte 0x{raw_type:02x}") from None
-    try:
-        pixel_format = PixelFormat(raw_pf)
-    except ValueError:
-        raise UnknownPixelFormatError(f"unknown pixel_format byte 0x{raw_pf:02x}") from None
+    pixel_format = _pixel_format(raw_pf)
 
     offset = HEADER_SIZE
     if len(data) < offset + payload_len:
@@ -230,7 +234,11 @@ def read_frame(sock: socket.socket) -> FrameMessage | None:
         return None
     if head[: len(MAGIC)] != MAGIC:
         raise BadMagicError(f"bad magic {head[:len(MAGIC)]!r}")
-    raw_type, _, _, _, _, _, payload_len = _HEADER.unpack_from(head, len(MAGIC))
+    raw_type, _, _, width, height, raw_pf, payload_len = _HEADER.unpack_from(head, len(MAGIC))
+    # checked before the body is read, so a bad header cannot make us buffer 4 GiB
+    expected = expected_payload_len(_pixel_format(raw_pf), width, height)
+    if payload_len != expected:
+        raise PayloadSizeError(f"header declares {payload_len} payload bytes, expected {expected}")
     rest = payload_len
     if raw_type == MessageType.ECHO:
         rest += ECHO_TRAILER_SIZE

@@ -1,6 +1,7 @@
 import csv
 import math
 import random
+import re
 
 import pytest
 
@@ -17,7 +18,6 @@ from drowsebench.blink import (
     detect_blinks,
     ear,
     extract_all_features,
-    extract_features,
     eye_ear,
     normalize_features,
     read_ear_csv,
@@ -148,6 +148,54 @@ class TestDetectBlinks:
             BlinkDetectionConfig(min_closed_frames=0)
 
 
+# Oracle for the property test below: the straightforward per-blink
+# computation, which rebuilds the index and rescans every earlier apex.
+def reference_extract_features(
+    blink: Blink,
+    series,
+    fps: float,
+    recent_apex_times_s=(),
+) -> BlinkFeatures:
+    """Compute one blink's features from its source series.
+
+    ``recent_apex_times_s`` holds apex times (seconds, ``frame / fps``)
+    of earlier blinks; frequency counts those within the trailing 60 s
+    window plus this blink itself.
+    """
+    if fps <= 0:
+        raise ValueError(f"fps must be positive, got {fps}")
+    index_of = {s.frame_id: k for k, s in enumerate(series)}
+    try:
+        start = index_of[blink.start_frame]
+        apex = index_of[blink.apex_frame]
+    except KeyError as exc:
+        raise ValueError(f"blink frame {exc} not present in series") from None
+
+    amplitude = blink.baseline_ear - blink.min_ear
+    drops = [series[k].ear - series[k + 1].ear for k in range(start, apex)]
+    velocity = max(drops, default=0.0) * fps
+    duration_s = (blink.end_frame - blink.start_frame + 1) / fps
+
+    apex_time_s = blink.apex_frame / fps
+    recent = sum(1 for t in recent_apex_times_s if apex_time_s - 60.0 < t <= apex_time_s)
+    return BlinkFeatures(
+        amplitude=amplitude,
+        velocity=velocity,
+        duration_s=duration_s,
+        freq_per_min=float(recent + 1),
+    )
+
+
+def reference_extract_all_features(blinks, series, fps):
+    """The per-blink oracle: one full lookup and window rescan per blink."""
+    features = []
+    apex_times: list[float] = []
+    for blink in blinks:
+        features.append(reference_extract_features(blink, series, fps, apex_times))
+        apex_times.append(blink.apex_frame / fps)
+    return features
+
+
 class TestExtractFeatures:
     def hand_fixture(self):
         values = [0.35] * 10 + [0.30, 0.25, 0.20, 0.15, 0.10]
@@ -158,38 +206,97 @@ class TestExtractFeatures:
 
     def test_hand_computed_features(self):
         blink, series = self.hand_fixture()
-        feats = extract_features(blink, series, fps=30.0)
+        [feats] = extract_all_features([blink], series, fps=30.0)
         assert feats.amplitude == pytest.approx(0.25)
         assert feats.velocity == pytest.approx(0.05 * 30)
         assert feats.duration_s == pytest.approx(5 / 30)
         assert feats.freq_per_min == 1.0
 
     def test_frequency_counts_trailing_minute(self):
-        series = series_of([0.35] * 3601)
-        blink = Blink(
-            start_frame=3598, apex_frame=3600, end_frame=3600, min_ear=0.1, baseline_ear=0.35
-        )
-        # apex at 120 s; window is (60, 120]: exactly-60 s-old falls out
-        recent = [59.0, 60.0, 60.1, 90.0, 120.0]
-        feats = extract_features(blink, series, fps=30.0, recent_apex_times_s=recent)
-        assert feats.freq_per_min == 4.0
+        # apexes at 59, 60, 60.1, 90 and 120 s; each window is (apex - 60, apex],
+        # so at 120 s the blinks exactly 60 s old or older fall out
+        values = [0.35] * 3602
+        for apex in (1770, 1800, 1803, 2700, 3600):
+            values[apex : apex + 2] = [0.1, 0.15]
+        series = series_of(values)
+        blinks = detect_blinks(series)
+        assert [b.apex_frame / 30.0 for b in blinks] == [59.0, 60.0, 60.1, 90.0, 120.0]
+        feats = extract_all_features(blinks, series, fps=30.0)
+        assert [f.freq_per_min for f in feats] == [1.0, 2.0, 3.0, 4.0, 3.0]
 
     def test_apex_at_start_has_zero_velocity(self):
         series = series_of([0.35] * 4 + [0.1, 0.1, 0.35])
         blink = Blink(start_frame=4, apex_frame=4, end_frame=6, min_ear=0.1, baseline_ear=0.35)
-        assert extract_features(blink, series, fps=30.0).velocity == 0.0
+        assert extract_all_features([blink], series, fps=30.0)[0].velocity == 0.0
 
     def test_errors(self):
         blink, series = self.hand_fixture()
-        with pytest.raises(ValueError):
-            extract_features(blink, series, fps=0)
-        with pytest.raises(ValueError):
-            extract_features(blink, series[:5], fps=30.0)
+        for fps in (0, -30.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="fps must be positive and finite"):
+                extract_all_features([blink], series, fps=fps)
+        with pytest.raises(ValueError, match="blink frame 10 not present in series"):
+            extract_all_features([blink], series[:5], fps=30.0)
+        with pytest.raises(ValueError, match="apex_frame 14 does not follow 14"):
+            extract_all_features([blink, blink], series, fps=30.0)
+        earlier = Blink(start_frame=9, apex_frame=13, end_frame=14, min_ear=0.15,
+                        baseline_ear=0.35)
+        with pytest.raises(ValueError, match="apex_frame 13 does not follow 14"):
+            extract_all_features([blink, earlier], series, fps=30.0)
 
     def test_extract_all_accumulates_frequency(self):
         series, truth = gen_ear_series(evenly_spaced_script(3))
         feats = extract_all_features(truth, series, fps=30.0)
         assert [f.freq_per_min for f in feats] == [1.0, 2.0, 3.0]
+
+    def test_matches_per_blink_reference_on_random_series(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        open_ear = st.sampled_from([0.2, 0.25, 0.3, 0.35, 0.4])
+        closed_ear = st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.19]), st.floats(0.0, 0.199))
+
+        @st.composite
+        def recordings(draw):
+            # integer and non-integer fps; at 0.5, 1.5, 7.5 and 29.95 fps a
+            # whole number of frames spans exactly 60 s
+            fps = draw(st.sampled_from([0.5, 1.5, 7.5, 29.95, 29.97, 30.0]))
+            minute = round(60 * fps)
+            values: list[float] = []
+            last_apex = None
+            for _ in range(draw(st.integers(0, 6))):
+                if last_apex is not None and draw(st.booleans()):
+                    # next apex exactly one minute of frames after the last;
+                    # the run opens on its strict minimum so that is its apex
+                    gap = max(last_apex + minute - len(values), 0)
+                    values += [draw(open_ear)] * gap
+                    run = [0.0] + draw(st.lists(st.floats(0.01, 0.199), max_size=3))
+                else:
+                    # gaps of 0 merge runs or touch the series start, 1 makes
+                    # adjacent blinks share an open sample, < 10 shortens the
+                    # baseline window
+                    values += draw(st.lists(open_ear, max_size=12))
+                    run = draw(st.lists(closed_ear, min_size=1, max_size=4))
+                last_apex = len(values) + run.index(min(run))
+                values += run
+            values += draw(st.lists(open_ear, min_size=0 if values else 1, max_size=12))
+            first = draw(st.integers(0, 5000))
+            series = [
+                EarSample(frame_id=first + k, ts_us=round(k * 1e6 / fps), ear=v)
+                for k, v in enumerate(values)
+            ]
+            config = BlinkDetectionConfig(min_closed_frames=draw(st.integers(1, 3)))
+            return series, fps, config
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(recordings())
+        def check(recording):
+            series, fps, config = recording
+            blinks = detect_blinks(series, config)
+            assert extract_all_features(blinks, series, fps) == reference_extract_all_features(
+                blinks, series, fps
+            )
+
+        check()
 
 
 def features(a, v, d, f):
@@ -269,6 +376,18 @@ class TestCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             read_ear_csv(path)
+
+    def test_ear_bad_rows_name_their_line(self, tmp_path):
+        path = tmp_path / "ear.csv"
+        for bad_row, message in [
+            ("2,66667", "float() argument"),
+            ("x,66667,0.3", "invalid literal"),
+            ("2,66667,inf", "ear must be finite and non-negative, got inf"),
+            ("1,66667,0.3", "frame_id 1 does not follow 1"),
+        ]:
+            path.write_text(f"frame_id,ts_us,ear\n0,0,0.3\n1,33333,0.3\n{bad_row}\n")
+            with pytest.raises(ValueError, match="^" + re.escape(f"{path} line 4: {message}")):
+                read_ear_csv(path)
 
     def test_features_rows_are_enumerated(self, tmp_path):
         path = tmp_path / "features.csv"

@@ -151,6 +151,21 @@ class TestPipelineBench:
         rows = read_timings_csv(tmp_path / "timings-default.csv")
         assert len(rows) == 40
 
+    def test_non_finite_profile_is_rejected(self, tmp_path, capsys):
+        # Python's json reads NaN and Infinity; neither is a service time
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"stages": [{"name": "face", "mean_ms": NaN},'
+            ' {"name": "landmark", "mean_ms": 2.0},'
+            ' {"name": "blink", "mean_ms": 1.0, "std_ms": Infinity}]}'
+        )
+        assert main(["pipeline-bench", "--profile", str(path)]) == 2
+        assert "mean_ms must be positive and finite, got nan" in capsys.readouterr().err
+
+
+def write_ear_rows(path, rows):
+    path.write_text("frame_id,ts_us,ear\n" + "".join(f"{f},{t},{e}\n" for f, t, e in rows))
+
 
 class TestDetect:
     def test_gen_then_detect(self, tmp_path, capsys):
@@ -175,9 +190,42 @@ class TestDetect:
         ear_csv = tmp_path / "ear.csv"
         assert main(["gen", "ear", "--blinks", "1", "--out", str(ear_csv)]) == 0
         assert main(["detect", "--in", str(ear_csv), "--close-threshold", "0"]) == 1
+        for fps in ("nan", "inf"):
+            assert main(["detect", "--in", str(ear_csv), "--fps", fps]) == 1
 
     def test_missing_file(self):
         assert main(["detect", "--in", "/no/such/ear.csv"]) == 2
+
+    def test_json_blink_fields(self, tmp_path, capsys):
+        ear_csv = tmp_path / "ear.csv"
+        assert main(["gen", "ear", "--blinks", "2", "--out", str(ear_csv)]) == 0
+        capsys.readouterr()
+        assert main(["detect", "--in", str(ear_csv), "--json"]) == 0
+        blinks = json.loads(capsys.readouterr().out)["blinks"]
+        assert [b["blink_id"] for b in blinks] == [0, 1]
+        assert list(blinks[0]) == [
+            "blink_id", "start_frame", "apex_frame", "end_frame", "min_ear", "baseline_ear",
+            "amplitude", "velocity", "duration_s", "freq_per_min",
+        ]
+
+    def test_non_finite_ear_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        write_ear_rows(path, [(0, 0, 0.3), (1, 33333, 0.1), (2, 66667, "nan"), (3, 100000, 0.3)])
+        assert main(["detect", "--in", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path} line 4: ear must be finite and non-negative, got nan" in captured.err
+
+    def test_frame_ids_must_increase(self, tmp_path, capsys):
+        # two recordings pasted together: the second restarts at frame 0
+        first = [(k, k * 33333, 0.1 if k in (8, 9) else 0.3) for k in range(20)]
+        second = [(k, k * 33333, 0.05 if k in (8, 9) else 0.35) for k in range(20)]
+        path = tmp_path / "pasted.csv"
+        write_ear_rows(path, first + second)
+        assert main(["detect", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path} line 22: frame_id 0 does not follow 19" in captured.err
 
 
 class TestGen:
@@ -246,6 +294,14 @@ class TestOptimize:
 
     def test_missing_file(self):
         assert main(["optimize", "--scores", "/no/such/scores.csv"]) == 2
+
+    def test_readme_label_encoding(self, tmp_path, capsys):
+        # README "File formats": id,score,label with label 0 alert, 10 drowsy
+        path = tmp_path / "scores.csv"
+        path.write_text("id,score,label\n0,2.5,0\n1,3.0,0\n2,7.5,10\n3,8.0,10\n")
+        assert main(["optimize", "--scores", str(path), "--json"]) == 0
+        model = json.loads(capsys.readouterr().out)["models"][0]
+        assert (model["optimal"]["fpr"], model["optimal"]["fnr"]) == (0.0, 0.0)
 
 
 class TestVote:

@@ -76,6 +76,13 @@ class TestStageProfile:
         with pytest.raises(ValueError):
             StageProfile(StageName.FACE, 1.0, -1.0)
 
+    def test_non_finite_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="mean_ms must be positive and finite"):
+                StageProfile(StageName.FACE, bad)
+            with pytest.raises(ValueError, match="std_ms must be non-negative and finite"):
+                StageProfile(StageName.FACE, 1.0, bad)
+
     def test_deterministic_sampler_is_constant(self):
         profile = StageProfile(StageName.FACE, 4.25, 0.0, Distribution.DETERMINISTIC)
         sample = make_sampler(profile, random.Random(0))
@@ -97,6 +104,20 @@ class TestFramePipeline:
             simulate_session(30, 1, [face, blink], seed=0)
         with pytest.raises(ValueError, match="missing stages: face, blink$"):
             simulate_session(30, 1, [landmark], seed=0)
+        with pytest.raises(ValueError, match="missing stages: landmark$"):
+            queue_stability([face, blink], 30)
+
+    def test_repeated_stage_rejected(self):
+        # one check for both: the simulator would keep the last face profile
+        # while the verdict summed both
+        face, landmark, blink = det_profiles()
+        slow_face = StageProfile(StageName.FACE, 50.0, 0.0, Distribution.DETERMINISTIC)
+        repeated = [face, slow_face, landmark, blink]
+        once_each = "must define face, landmark and blink once each: face, face, landmark, blink"
+        with pytest.raises(ValueError, match=once_each):
+            simulate_session(30, 1, repeated, seed=0)
+        with pytest.raises(ValueError, match=once_each):
+            queue_stability(repeated, 30)
 
 
 class TestSimulateSession:

@@ -1,4 +1,6 @@
 import random
+import socket
+import struct
 
 import pytest
 
@@ -17,6 +19,7 @@ from drowsebench.protocol import (
     UnknownPixelFormatError,
     decode_frame,
     encode_frame,
+    read_frame,
 )
 
 
@@ -175,6 +178,29 @@ class TestDecode:
         header = struct.pack("<BQQHHBI", 0x01, 0, 0, 2, 1, 0x00, 3)
         with pytest.raises(PayloadSizeError):
             decode_frame(MAGIC + header + b"\xaa" * 3)
+
+
+class TestReadFrame:
+    def test_payload_len_checked_before_body(self):
+        # a 1x1 rgb24 frame needs 3 bytes; a header declaring 2**32 - 1 is
+        # rejected without reading (or waiting for) any of them
+        header = MAGIC + struct.pack("<BQQHHBI", 0x01, 0, 0, 1, 1, 0x00, 2**32 - 1)
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5)  # a reader that waits for the body fails instead of hanging
+            a.sendall(header + b"next")
+            with pytest.raises(PayloadSizeError, match="declares 4294967295 payload bytes"):
+                read_frame(b)
+            assert b.recv(16) == b"next"
+
+    def test_unknown_pixel_format_at_header(self):
+        header = MAGIC + struct.pack("<BQQHHBI", 0x01, 0, 0, 1, 1, 0x09, 3)
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5)
+            a.sendall(header)
+            with pytest.raises(UnknownPixelFormatError):
+                read_frame(b)
 
 
 def random_message(rng: random.Random) -> FrameMessage:
