@@ -8,7 +8,7 @@ Modules:
     blink      EAR computation, blink detection, feature extraction
     decision   threshold optimization and weighted ensemble voting
     synth      seeded generators for EAR traces and score datasets
-    report     fixed-width report tables
+    report     fixed-width report tables; the CSV reader and writer
     cli        the ``drowsebench`` command-line front end
 """
 
@@ -36,7 +36,6 @@ from .decision import (  # noqa: F401
     ScoredSequence,
     ThresholdCurve,
     VoteResult,
-    classify_score,
     compare_to_default,
     confusion,
     cost,

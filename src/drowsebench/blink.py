@@ -14,13 +14,14 @@ baseline built from the first third of the blinks.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from .report import read_csv, write_csv
 
 EAR_CSV_HEADER = ["frame_id", "ts_us", "ear"]
 FEATURES_CSV_HEADER = ["blink_id", "amplitude", "velocity", "duration_s", "freq_per_min"]
@@ -277,33 +278,23 @@ def denormalize_features(normalized: NormalizedFeatures, baseline: BaselineStats
 
 
 def write_ear_csv(series: Iterable[EarSample], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EAR_CSV_HEADER)
-        for s in series:
-            writer.writerow([s.frame_id, s.ts_us, s.ear])
+    write_csv(path, EAR_CSV_HEADER, ((s.frame_id, s.ts_us, s.ear) for s in series))
 
 
 def read_ear_csv(path: str | Path) -> list[EarSample]:
-    series = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != EAR_CSV_HEADER:
-            raise ValueError(f"unexpected header {reader.fieldnames} in {path}")
-        for row in reader:
-            try:
-                sample = EarSample(int(row["frame_id"]), int(row["ts_us"]), float(row["ear"]))
-                if series and sample.frame_id <= (last := series[-1].frame_id):
-                    raise ValueError(f"frame_id {sample.frame_id} does not follow {last}")
-            except (TypeError, ValueError) as exc:  # TypeError: a short row
-                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-            series.append(sample)
-    return series
+    """EAR samples of a CSV file; ``frame_id`` must increase from row to row."""
+    last_frame_id = None
+
+    def parse(frame_id: str, ts_us: str, ear: str) -> EarSample:
+        nonlocal last_frame_id
+        sample = EarSample(int(frame_id), int(ts_us), float(ear))
+        if last_frame_id is not None and sample.frame_id <= last_frame_id:
+            raise ValueError(f"frame_id {sample.frame_id} does not follow {last_frame_id}")
+        last_frame_id = sample.frame_id
+        return sample
+
+    return read_csv(path, EAR_CSV_HEADER, parse)
 
 
 def write_features_csv(features: Iterable[BlinkFeatures], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURES_CSV_HEADER)
-        for blink_id, f in enumerate(features):
-            writer.writerow([blink_id, f.amplitude, f.velocity, f.duration_s, f.freq_per_min])
+    write_csv(path, FEATURES_CSV_HEADER, ((i, *f.as_tuple()) for i, f in enumerate(features)))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import statistics
 import sys
 
@@ -79,6 +80,17 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+def _positive_float(text: str) -> float:
+    """argparse ``type`` for a rate such as ``--fps``: positive and finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive, finite number, got {text!r}")
+    return value
 
 
 def _parse_endpoint(text: str) -> tuple[str, int]:
@@ -168,8 +180,6 @@ def cmd_echo_server(args) -> int:
 def cmd_stream_bench(args) -> int:
     if bool(args.connect) == bool(args.loopback):
         raise UsageError("exactly one of --connect or --loopback is required")
-    if args.fps <= 0:
-        raise UsageError(f"--fps must be positive, got {args.fps}")
     if args.frames < 2:
         raise UsageError(f"--frames must be at least 2, got {args.frames}")
     resolutions = _parse_resolutions(args.res)
@@ -229,8 +239,6 @@ def cmd_stream_bench(args) -> int:
 
 
 def cmd_pipeline_bench(args) -> int:
-    if args.fps <= 0:
-        raise UsageError(f"--fps must be positive, got {args.fps}")
     if args.frames < 1:
         raise UsageError(f"--frames must be at least 1, got {args.frames}")
     stage_sets = load_stage_sets(args.profile)
@@ -282,8 +290,6 @@ def cmd_detect(args) -> int:
     series = read_ear_csv(args.infile)
     if not series:
         raise DegenerateDataError(f"{args.infile} holds no EAR samples")
-    if not 0 < args.fps < float("inf"):
-        raise UsageError(f"--fps must be positive and finite, got {args.fps}")
     try:
         config = BlinkDetectionConfig(
             close_threshold=args.close_threshold, min_closed_frames=args.min_closed_frames
@@ -321,8 +327,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.w_fn < 0 or args.w_fp < 0:
-        raise UsageError("cost weights must be non-negative")
+    if not (0 <= args.w_fn < math.inf and 0 <= args.w_fp < math.inf):
+        raise UsageError("cost weights must be non-negative and finite")
     grid = threshold_grid()
     table = ReportTable(
         title=f"optimize: cost = {args.w_fn:g}*fn + {args.w_fp:g}*fp over {len(grid)} thresholds",
@@ -405,8 +411,6 @@ def cmd_gen(args) -> int:
     if args.what == "ear":
         if args.blinks < 0:
             raise UsageError(f"--blinks must be >= 0, got {args.blinks}")
-        if args.fps <= 0:
-            raise UsageError(f"--fps must be positive, got {args.fps}")
         if args.noise < 0:
             raise UsageError(f"--noise must be >= 0, got {args.noise}")
         script = evenly_spaced_script(
@@ -496,7 +500,7 @@ def build_parser() -> _Parser:
     p.add_argument("--connect", metavar="HOST:PORT")
     p.add_argument("--loopback", action="store_true",
                    help="benchmark against an in-process echo server")
-    p.add_argument("--fps", type=float, default=30.0)
+    p.add_argument("--fps", type=_positive_float, default=30.0)
     p.add_argument("--frames", type=int, default=500)
     p.add_argument("--res", default="320x240,640x480,960x540,1280x720",
                    help="comma list of WIDTHxHEIGHT")
@@ -507,7 +511,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pipeline-bench", help="simulate the staged pipeline")
     p.add_argument("--profile", required=True, help="stage profile JSON file")
-    p.add_argument("--fps", type=float, default=30.0)
+    p.add_argument("--fps", type=_positive_float, default=30.0)
     p.add_argument("--frames", type=int, default=450)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PREFIX", help="write per-profile timing CSVs")
@@ -516,7 +520,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("detect", help="detect blinks in an EAR series CSV")
     p.add_argument("--in", dest="infile", required=True, metavar="EAR_CSV")
-    p.add_argument("--fps", type=float, default=30.0)
+    p.add_argument("--fps", type=_positive_float, default=30.0)
     p.add_argument("--close-threshold", type=float, default=0.2)
     p.add_argument("--min-closed-frames", type=int, default=2)
     p.add_argument("--out", metavar="FEATURES_CSV")
@@ -542,7 +546,7 @@ def build_parser() -> _Parser:
 
     g = gen_sub.add_parser("ear", help="scripted EAR series")
     g.add_argument("--blinks", type=int, required=True)
-    g.add_argument("--fps", type=float, default=30.0)
+    g.add_argument("--fps", type=_positive_float, default=30.0)
     g.add_argument("--frames", type=int, help="minimum series length")
     g.add_argument("--noise", type=float, default=0.0)
     g.add_argument("--seed", type=int, default=0)

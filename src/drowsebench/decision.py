@@ -13,12 +13,15 @@ Drowsy when the weighted share of Drowsy votes exceeds one half.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+from .report import read_csv, write_csv
 
 SCORES_CSV_HEADER = ["id", "score", "label"]
 CURVE_CSV_HEADER = ["threshold", "fpr", "fnr", "cost"]
@@ -50,11 +53,6 @@ class ScoredSequence:
             raise ValueError(f"score must be within [0, 10], got {self.score}")
 
 
-def classify_score(score: float, threshold: float) -> int:
-    """1 (drowsy) when the score reaches the threshold, else 0."""
-    return 1 if score >= threshold else 0
-
-
 def threshold_grid() -> list[float]:
     """The 21 candidate thresholds (10 + k) / 3 for k = 0..20."""
     return [(10 + k) / 3 for k in range(21)]
@@ -72,23 +70,30 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def confusion(sequences: Sequence[ScoredSequence], threshold: float) -> ConfusionMatrix:
-    """Tally predictions at a threshold; Drowsy is the positive class."""
+def _tally(sequences: Sequence[ScoredSequence]) -> Callable[[float], ConfusionMatrix]:
+    """Confusion matrix at any threshold, off one sort of each class's scores.
+
+    A sequence is predicted Drowsy when its score reaches the threshold,
+    so the misses are the drowsy scores below it, counted by bisection.
+    """
     if not sequences:
         raise ValueError("empty dataset")
-    tp = fp = tn = fn = 0
-    for seq in sequences:
-        predicted = classify_score(seq.score, threshold)
-        actual = 1 if seq.label is Label.DROWSY else 0
-        if predicted and actual:
-            tp += 1
-        elif predicted and not actual:
-            fp += 1
-        elif not predicted and not actual:
-            tn += 1
-        else:
-            fn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
+    drowsy = sorted(seq.score for seq in sequences if seq.label is Label.DROWSY)
+    alert = sorted(seq.score for seq in sequences if seq.label is not Label.DROWSY)
+
+    def at(threshold: float) -> ConfusionMatrix:
+        if math.isnan(threshold):
+            raise ValueError("threshold must not be NaN")
+        fn = bisect_left(drowsy, threshold)
+        tn = bisect_left(alert, threshold)
+        return ConfusionMatrix(tp=len(drowsy) - fn, fp=len(alert) - tn, tn=tn, fn=fn)
+
+    return at
+
+
+def confusion(sequences: Sequence[ScoredSequence], threshold: float) -> ConfusionMatrix:
+    """Tally predictions at a threshold; Drowsy is the positive class."""
+    return _tally(sequences)(threshold)
 
 
 @dataclass(frozen=True)
@@ -150,18 +155,15 @@ class ThresholdCurve:
             raise ValueError("curve thresholds must be strictly increasing")
 
 
-def sweep(
-    sequences: Sequence[ScoredSequence],
-    grid: Sequence[float] | None = None,
-    w_fn: float = DEFAULT_W_FN,
-    w_fp: float = DEFAULT_W_FP,
+def _curve(
+    tally: Callable[[float], ConfusionMatrix],
+    grid: Sequence[float] | None,
+    w_fn: float,
+    w_fp: float,
 ) -> ThresholdCurve:
-    """Evaluate rates and cost at every grid threshold, in grid order."""
-    if grid is None:
-        grid = threshold_grid()
     points = []
-    for threshold in grid:
-        rates = Rates.from_confusion(confusion(sequences, threshold))
+    for threshold in threshold_grid() if grid is None else grid:
+        rates = Rates.from_confusion(tally(threshold))
         points.append(
             CurvePoint(
                 threshold=threshold,
@@ -171,6 +173,16 @@ def sweep(
             )
         )
     return ThresholdCurve(points=tuple(points), w_fn=w_fn, w_fp=w_fp)
+
+
+def sweep(
+    sequences: Sequence[ScoredSequence],
+    grid: Sequence[float] | None = None,
+    w_fn: float = DEFAULT_W_FN,
+    w_fp: float = DEFAULT_W_FP,
+) -> ThresholdCurve:
+    """Evaluate rates and cost at every grid threshold, in grid order."""
+    return _curve(_tally(sequences), grid, w_fn, w_fp)
 
 
 def optimize_threshold(
@@ -184,23 +196,15 @@ def optimize_threshold(
     Requires both classes in the dataset; otherwise one error rate is
     vacuous and every threshold ties.
     """
-    if not sequences:
-        raise ValueError("empty dataset")
+    tally = _tally(sequences)
     labels = {seq.label for seq in sequences}
     if len(labels) < 2:
         raise DegenerateDataError(
             f"dataset holds only {next(iter(labels)).name} sequences; need both classes"
         )
-    best_threshold = None
-    best_rates = None
-    best_cost = None
-    curve = sweep(sequences, grid, w_fn, w_fp)
-    for point in curve.points:
-        if best_cost is None or point.cost < best_cost:
-            best_cost = point.cost
-            best_threshold = point.threshold
-    best_rates = Rates.from_confusion(confusion(sequences, best_threshold))
-    return best_threshold, best_rates
+    # min keeps the first of equal costs, and grid thresholds increase
+    best = min(_curve(tally, grid, w_fn, w_fp).points, key=lambda point: point.cost)
+    return best.threshold, Rates.from_confusion(tally(best.threshold))
 
 
 def percent_change(old: float, new: float) -> float | None:
@@ -233,8 +237,9 @@ def compare_to_default(
     w_fn: float = DEFAULT_W_FN,
     w_fp: float = DEFAULT_W_FP,
 ) -> ThresholdComparison:
-    opt = Rates.from_confusion(confusion(sequences, optimal_threshold))
-    dft = Rates.from_confusion(confusion(sequences, default_threshold))
+    tally = _tally(sequences)
+    opt = Rates.from_confusion(tally(optimal_threshold))
+    dft = Rates.from_confusion(tally(default_threshold))
     return ThresholdComparison(
         optimal_threshold=optimal_threshold,
         default_threshold=default_threshold,
@@ -312,36 +317,19 @@ def vote(decisions: Sequence[int], stats: Sequence[ModelStats]) -> VoteResult:
 
 
 def write_scores_csv(sequences: Iterable[ScoredSequence], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORES_CSV_HEADER)
-        for seq in sequences:
-            writer.writerow([seq.id, seq.score, int(seq.label)])
+    write_csv(path, SCORES_CSV_HEADER, ((s.id, s.score, int(s.label)) for s in sequences))
 
 
 def read_scores_csv(path: str | Path) -> list[ScoredSequence]:
-    sequences = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SCORES_CSV_HEADER:
-            raise ValueError(f"unexpected header {reader.fieldnames} in {path}")
-        for row in reader:
-            sequences.append(
-                ScoredSequence(
-                    id=int(row["id"]),
-                    score=float(row["score"]),
-                    label=Label(int(row["label"])),
-                )
-            )
-    return sequences
+    return read_csv(
+        path,
+        SCORES_CSV_HEADER,
+        lambda seq_id, score, label: ScoredSequence(int(seq_id), float(score), Label(int(label))),
+    )
 
 
 def write_curve_csv(curve: ThresholdCurve, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_CSV_HEADER)
-        for p in curve.points:
-            writer.writerow([p.threshold, p.fpr, p.fnr, p.cost])
+    write_csv(path, CURVE_CSV_HEADER, ((p.threshold, p.fpr, p.fnr, p.cost) for p in curve.points))
 
 
 def write_model_stats_json(stats: Iterable[ModelStats], path: str | Path) -> None:
@@ -353,15 +341,21 @@ def write_model_stats_json(stats: Iterable[ModelStats], path: str | Path) -> Non
 
 
 def read_model_stats_json(path: str | Path) -> list[ModelStats]:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, list):
-        raise ValueError(f"{path}: expected a JSON list of model stats")
-    return [
-        ModelStats(
-            model_id=int(entry["model_id"]),
-            tpr=float(entry["tpr"]),
-            tnr=float(entry["tnr"]),
-            threshold=float(entry["threshold"]),
-        )
-        for entry in doc
-    ]
+    """Model stats from a JSON list of objects; any defect names the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, list) or not all(isinstance(entry, dict) for entry in doc):
+            raise ValueError("expected a JSON list of model stats objects")
+        return [
+            ModelStats(
+                model_id=int(entry["model_id"]),
+                tpr=float(entry["tpr"]),
+                tnr=float(entry["tnr"]),
+                threshold=float(entry["threshold"]),
+            )
+            for entry in doc
+        ]
+    except KeyError as exc:
+        raise ValueError(f"{path}: model stats entry lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

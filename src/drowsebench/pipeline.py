@@ -16,7 +16,6 @@ exactly reproducible from its seed.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import random
@@ -25,6 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
+
+from .report import read_csv, write_csv
 
 TIMING_CSV_HEADER = ["frame_id", "face_ms", "landmark_ms", "blink_ms", "total_ms"]
 
@@ -326,10 +327,9 @@ def load_stage_sets(path: str | Path) -> dict[str, list[StageProfile]]:
     stage sets: ``{"device": ..., "resolutions": {"320x240": {"stages":
     [...]}, ...}}``.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-
     def parse_set(obj) -> list[StageProfile]:
+        if not all(isinstance(entry, dict) for entry in obj["stages"]):
+            raise ValueError("every stage entry must be a JSON object")
         profiles = [
             StageProfile(
                 name=StageName(entry["name"]),
@@ -342,10 +342,17 @@ def load_stage_sets(path: str | Path) -> dict[str, list[StageProfile]]:
         _stage_map(profiles)
         return profiles
 
-    if "stages" in doc:
-        return {"default": parse_set(doc)}
-    if "resolutions" in doc:
-        return {res: parse_set(obj) for res, obj in doc["resolutions"].items()}
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if "stages" in doc:
+            return {"default": parse_set(doc)}
+        if "resolutions" in doc:
+            return {res: parse_set(obj) for res, obj in doc["resolutions"].items()}
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     raise ValueError(f"{path}: expected a 'stages' or 'resolutions' key")
 
 
@@ -370,27 +377,16 @@ def average_stage_set(stage_sets: Mapping[str, list[StageProfile]]) -> list[Stag
 
 def write_timings_csv(records: Iterable[TimingRecord], path: str | Path) -> None:
     """Export per-frame stage durations."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMING_CSV_HEADER)
-        for r in records:
-            writer.writerow([r.frame_id, r.face_ms, r.landmark_ms, r.blink_ms, r.total_ms])
+    write_csv(
+        path,
+        TIMING_CSV_HEADER,
+        ((r.frame_id, r.face_ms, r.landmark_ms, r.blink_ms, r.total_ms) for r in records),
+    )
 
 
 def read_timings_csv(path: str | Path) -> list[dict[str, float]]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != TIMING_CSV_HEADER:
-            raise ValueError(f"unexpected header {reader.fieldnames} in {path}")
-        for row in reader:
-            rows.append(
-                {
-                    "frame_id": int(row["frame_id"]),
-                    "face_ms": float(row["face_ms"]),
-                    "landmark_ms": float(row["landmark_ms"]),
-                    "blink_ms": float(row["blink_ms"]),
-                    "total_ms": float(row["total_ms"]),
-                }
-            )
-    return rows
+    return read_csv(
+        path,
+        TIMING_CSV_HEADER,
+        lambda frame_id, *ms: dict(zip(TIMING_CSV_HEADER, (int(frame_id), *map(float, ms)))),
+    )

@@ -12,7 +12,6 @@ late: pacing error stays bounded instead of accumulating.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import logging
 import socket
@@ -32,6 +31,7 @@ from .protocol import (
     read_frame,
     write_frame,
 )
+from .report import read_csv, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -328,37 +328,14 @@ def stream_and_measure(
 
 
 def write_rtt_csv(records: list[RoundTripRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RTT_CSV_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.frame_id,
-                    r.send_ts_us,
-                    r.recv_ts_us,
-                    r.rtt_us,
-                    "" if r.inter_arrival_us is None else r.inter_arrival_us,
-                ]
-            )
+    write_csv(path, RTT_CSV_HEADER, map(dataclasses.astuple, records))
 
 
 def read_rtt_csv(path: str | Path) -> list[RoundTripRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RTT_CSV_HEADER:
-            raise ValueError(f"unexpected header {reader.fieldnames} in {path}")
-        for row in reader:
-            records.append(
-                RoundTripRecord(
-                    frame_id=int(row["frame_id"]),
-                    send_ts_us=int(row["send_ts_us"]),
-                    recv_ts_us=int(row["recv_ts_us"]),
-                    rtt_us=int(row["rtt_us"]),
-                    inter_arrival_us=(
-                        int(row["inter_arrival_us"]) if row["inter_arrival_us"] else None
-                    ),
-                )
-            )
-    return records
+    return read_csv(
+        path,
+        RTT_CSV_HEADER,
+        lambda frame_id, send, recv, rtt, gap: RoundTripRecord(
+            int(frame_id), int(send), int(recv), int(rtt), int(gap) if gap else None
+        ),
+    )

@@ -380,7 +380,7 @@ class TestCsv:
     def test_ear_bad_rows_name_their_line(self, tmp_path):
         path = tmp_path / "ear.csv"
         for bad_row, message in [
-            ("2,66667", "float() argument"),
+            ("2,66667", "expected 3 fields, got 2"),
             ("x,66667,0.3", "invalid literal"),
             ("2,66667,inf", "ear must be finite and non-negative, got inf"),
             ("1,66667,0.3", "frame_id 1 does not follow 1"),

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import drowsebench
+from drowsebench.blink import EarSample, read_ear_csv, write_ear_csv
 from drowsebench.cli import main
 from drowsebench.decision import Label, ModelStats, ScoredSequence, write_model_stats_json
-from drowsebench.decision import write_scores_csv
-from drowsebench.pipeline import read_timings_csv
-from drowsebench.transport import read_rtt_csv
+from drowsebench.decision import read_scores_csv, write_scores_csv
+from drowsebench.pipeline import TimingRecord, read_timings_csv, write_timings_csv
+from drowsebench.transport import RoundTripRecord, read_rtt_csv, write_rtt_csv
 
 MEAN_STD = re.compile(r"\d+\.\d{3} ± \d+\.\d{3}")
 
@@ -66,11 +67,84 @@ class TestUsageErrors:
             ["stream-bench", "--loopback", "--frames", "1"],
             ["stream-bench", "--connect", "nohost"],
             ["vote", "--stats", "x.json"],
+            ["gen", "ear", "--blinks", "1", "--fps", "inf", "--out", "x.csv"],
+            ["pipeline-bench", "--profile", "x.json", "--fps", "nan"],
+            ["optimize", "--scores", "x.csv", "--w-fn", "nan"],
+            ["optimize", "--scores", "x.csv", "--w-fp", "inf"],
         ],
     )
     def test_exit_code_1(self, argv, capsys):
         assert main(argv) == 1
         assert "usage" in capsys.readouterr().err
+
+
+TIMINGS = [TimingRecord(0, 0.0, 2000.0, 3000.0, 3500.0),
+           TimingRecord(1, 33333.0, 35500.0, 36750.0, 37000.0)]
+
+# writer, records, reader, what it reads back, and the command that reads the file
+CSV_FORMATS = {
+    "ear": (
+        write_ear_csv,
+        [EarSample(k, k * 33333, ear) for k, ear in enumerate([0.3, 0.1, 0.1, 0.3])],
+        read_ear_csv,
+        None,
+        ["detect", "--in"],
+    ),
+    "scores": (
+        write_scores_csv,
+        [ScoredSequence(0, 2.0, Label.ALERT), ScoredSequence(1, 8.0, Label.DROWSY),
+         ScoredSequence(2, 4.5, Label.ALERT)],
+        read_scores_csv,
+        None,
+        ["optimize", "--scores"],
+    ),
+    "timings": (
+        write_timings_csv,
+        TIMINGS,
+        read_timings_csv,
+        [{"frame_id": r.frame_id, "face_ms": r.face_ms, "landmark_ms": r.landmark_ms,
+          "blink_ms": r.blink_ms, "total_ms": r.total_ms} for r in TIMINGS],
+        ["report", "--in"],
+    ),
+    "rtt": (
+        write_rtt_csv,
+        [RoundTripRecord(0, 5, 10, 5, None), RoundTripRecord(1, 40, 45, 5, 35),
+         RoundTripRecord(2, 70, 81, 11, 36)],
+        read_rtt_csv,
+        None,
+        ["report", "--in"],
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", CSV_FORMATS)
+def test_csv_rules(fmt, tmp_path, capsys):
+    write, records, read, parsed, command = CSV_FORMATS[fmt]
+    parsed = records if parsed is None else parsed
+    path = tmp_path / f"{fmt}.csv"
+    write(records, path)
+    assert read(path) == parsed
+    assert main([*command, str(path)]) == 0
+    header, *rows = path.read_text().splitlines()
+
+    # blank lines are skipped wherever they are
+    path.write_text("\n".join([header, "", rows[0], "", *rows[1:], ""]) + "\n")
+    assert read(path) == parsed
+    assert main([*command, str(path)]) == 0
+    capsys.readouterr()
+
+    width = len(header.split(","))
+    for bad_row, got in [(rows[1].rsplit(",", 1)[0], width - 1), (rows[1] + ",7", width + 1)]:
+        path.write_text("\n".join([header, rows[0], bad_row, *rows[2:]]) + "\n")
+        assert main([*command, str(path)]) == 2
+        assert f"error: {path} line 3: expected {width} fields, got {got}\n" in (
+            capsys.readouterr().err
+        )
+
+    path.write_text("\n".join(["a,b,c", *rows]) + "\n")
+    with pytest.raises(ValueError, match="^unexpected header"):
+        read(path)
+    assert main([*command, str(path)]) == 2
 
 
 class TestStreamBench:
@@ -161,6 +235,21 @@ class TestPipelineBench:
         )
         assert main(["pipeline-bench", "--profile", str(path)]) == 2
         assert "mean_ms must be positive and finite, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ('{"stages": [{"mean_ms": 1.0}]}', "missing key 'name'"),
+            ('{"stages": [1, 2, 3]}', "every stage entry must be a JSON object"),
+            ('{"resolutions": {"320x240": [1]}}', "list indices must be integers"),
+            ('{"stages": [', "Expecting value"),
+        ],
+    )
+    def test_malformed_profile_names_the_file(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        assert main(["pipeline-bench", "--profile", str(path)]) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
 
 
 def write_ear_rows(path, rows):
@@ -337,6 +426,19 @@ class TestVote:
             tmp_path, [ModelStats(model_id=1, tpr=0.0, tnr=0.0, threshold=5.0)]
         )
         assert main(["vote", "--stats", str(path), "--decisions", "1"]) == 3
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ('[{"model_id": 1, "tpr": 0.9, "threshold": 5.0}]', "model stats entry lacks 'tnr'"),
+            ("[1]", "expected a JSON list of model stats objects"),
+        ],
+    )
+    def test_malformed_stats_file_names_it(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "models.json"
+        path.write_text(doc)
+        assert main(["vote", "--stats", str(path), "--decisions", "1"]) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
 
     def test_missing_stats_file(self):
         assert main(["vote", "--stats", "/no/such.json", "--decisions", "1"]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from drowsebench.decision import (
@@ -8,7 +10,6 @@ from drowsebench.decision import (
     ModelStats,
     Rates,
     ScoredSequence,
-    classify_score,
     compare_to_default,
     confusion,
     cost,
@@ -65,22 +66,68 @@ class TestGrid:
         assert DEFAULT_THRESHOLD in threshold_grid()
 
 
-class TestClassify:
-    def test_threshold_is_inclusive(self):
-        assert classify_score(4.0, 4.0) == 1
-        assert classify_score(3.999, 4.0) == 0
-        assert classify_score(10.0, 10.0) == 1
-
-
 class TestConfusion:
     def test_four_point_tally(self):
         cm = confusion(FOUR_POINT, 10 / 3)
         assert cm == ConfusionMatrix(tp=2, fp=1, tn=1, fn=0)
         assert cm.total == 4
 
+    def test_threshold_is_inclusive(self):
+        # the 4.0 alert reaches a 4.0 threshold, so it is a false alarm
+        assert confusion(FOUR_POINT, 4.0) == ConfusionMatrix(tp=2, fp=1, tn=1, fn=0)
+        assert confusion(FOUR_POINT, 3.999) == ConfusionMatrix(tp=2, fp=1, tn=1, fn=0)
+        assert confusion(FOUR_POINT, 4.001) == ConfusionMatrix(tp=2, fp=0, tn=2, fn=0)
+        top = dataset((1, 10.0, Label.DROWSY))
+        assert confusion(top, 10.0) == ConfusionMatrix(tp=1, fp=0, tn=0, fn=0)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             confusion([], 5.0)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            confusion(FOUR_POINT, math.nan)
+
+    def test_tally_matches_brute_force(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        grid = threshold_grid()
+        on_grid = st.sampled_from(grid)
+        # scores on a grid point, one ulp either side of it, or anywhere in [0, 10]
+        scores = st.one_of(
+            on_grid,
+            st.builds(math.nextafter, on_grid, st.sampled_from([0.0, 10.0])),
+            st.floats(0.0, 10.0),
+        )
+        labels = st.sampled_from(list(Label))
+
+        def brute(data, threshold):
+            drowsy = [s.score >= threshold for s in data if s.label is Label.DROWSY]
+            alert = [s.score >= threshold for s in data if s.label is not Label.DROWSY]
+            return ConfusionMatrix(
+                tp=sum(drowsy), fp=sum(alert), tn=alert.count(False), fn=drowsy.count(False)
+            )
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(
+            st.lists(st.tuples(scores, labels), min_size=1, max_size=30), st.booleans()
+        )
+        def check(pairs, single_class):
+            if single_class:
+                pairs = [(score, pairs[0][1]) for score, _ in pairs]
+            data = [ScoredSequence(i, score, label) for i, (score, label) in enumerate(pairs)]
+            expected = {t: brute(data, t) for t in grid}
+            assert {t: confusion(data, t) for t in grid} == expected
+            for point in sweep(data).points:
+                rates = Rates.from_confusion(expected[point.threshold])
+                assert (point.fpr, point.fnr, point.cost) == (rates.fpr, rates.fnr, cost(rates))
+            cmp = compare_to_default(data, grid[3])
+            opt = Rates.from_confusion(expected[grid[3]])
+            dft = Rates.from_confusion(expected[DEFAULT_THRESHOLD])
+            assert (cmp.optimal_fpr, cmp.optimal_fnr) == (opt.fpr, opt.fnr)
+            assert (cmp.default_fpr, cmp.default_fnr) == (dft.fpr, dft.fnr)
+
+        check()
 
     def test_rates_identities(self):
         rates = Rates.from_confusion(ConfusionMatrix(tp=2, fp=1, tn=1, fn=0))
