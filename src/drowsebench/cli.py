@@ -36,6 +36,7 @@ from .decision import (
     DEFAULT_W_FN,
     DEFAULT_W_FP,
     DegenerateDataError,
+    _one_tally,
     compare_to_default,
     optimize_threshold,
     read_model_stats_json,
@@ -155,9 +156,13 @@ def _stages_json(stats: list[StatPair]) -> dict:
 
 
 def _round_trip_json(records) -> dict:
-    """``inter_arrival_us`` and ``rtt_us`` summaries of one round-trip run."""
+    """``inter_arrival_us`` and ``rtt_us`` summaries of one round-trip run.
+
+    RTT percentiles interpolate linearly between the nearest ranks.
+    """
     stats = interval_stats(records)
     rtts = [r.rtt_us for r in records]
+    cuts = statistics.quantiles(rtts, n=100, method="inclusive")
     return {
         "inter_arrival_us": {
             "count": stats.count,
@@ -167,7 +172,14 @@ def _round_trip_json(records) -> dict:
             "min": stats.min_us,
             "max": stats.max_us,
         },
-        "rtt_us": {"mean": statistics.fmean(rtts), "std": statistics.pstdev(rtts)},
+        "rtt_us": {
+            "mean": statistics.fmean(rtts),
+            "std": statistics.pstdev(rtts),
+            "p50": cuts[49],
+            "p95": cuts[94],
+            "p99": cuts[98],
+            "max": max(rtts),
+        },
     }
 
 
@@ -199,7 +211,7 @@ def cmd_stream_bench(args) -> int:
                 f"{pixel_format.name.lower()} payload via {host}:{port}"
             ),
             headers=["resolution", "frames", "inter-arrival ms", "median ms",
-                     "rtt ms", "raw Mbit/s"],
+                     "rtt ms", "rtt p99 ms", "raw Mbit/s"],
         )
         payload = {
             "fps": args.fps,
@@ -220,6 +232,7 @@ def cmd_stream_bench(args) -> int:
                 mean_std_cell(gaps["mean"] / 1000, gaps["std"] / 1000),
                 f"{gaps['median'] / 1000:.3f}",
                 mean_std_cell(rtt["mean"] / 1000, rtt["std"] / 1000),
+                f"{rtt['p99'] / 1000:.3f}",
                 f"{bandwidth / 1e6:.3f}",
             )
             payload["resolutions"].append(
@@ -338,8 +351,10 @@ def cmd_optimize(args) -> int:
     payload = {"w_fn": args.w_fn, "w_fp": args.w_fp, "models": []}
     for model_id, path in enumerate(args.scores, start=1):
         sequences = read_scores_csv(path)
-        threshold, _ = optimize_threshold(sequences, grid, args.w_fn, args.w_fp)
-        cmp = compare_to_default(sequences, threshold, w_fn=args.w_fn, w_fp=args.w_fp)
+        with _one_tally(sequences):
+            threshold, _ = optimize_threshold(sequences, grid, args.w_fn, args.w_fp)
+            cmp = compare_to_default(sequences, threshold, w_fn=args.w_fn, w_fp=args.w_fp)
+            curve = sweep(sequences, grid, args.w_fn, args.w_fp) if args.curve_out else None
 
         def pct(value: float | None) -> str:
             return "n/a" if value is None else f"{value:+.1f}%"
@@ -377,12 +392,9 @@ def cmd_optimize(args) -> int:
                 "fnr_change_pct": cmp.fnr_change_pct,
             }
         )
-        if args.curve_out:
+        if curve is not None:
             suffix = f"-model{model_id}" if len(args.scores) > 1 else ""
-            write_curve_csv(
-                sweep(sequences, grid, args.w_fn, args.w_fp),
-                f"{args.curve_out}{suffix}.csv",
-            )
+            write_curve_csv(curve, f"{args.curve_out}{suffix}.csv")
     _emit(args, table, payload)
     return 0
 
@@ -479,6 +491,7 @@ def cmd_report(args) -> int:
         table.add_row("inter-arrival", mean_std_cell(gaps["mean"] / 1000, gaps["std"] / 1000))
         table.add_row("inter-arrival median", f"{gaps['median'] / 1000:.3f}")
         table.add_row("rtt", mean_std_cell(rtt["mean"] / 1000, rtt["std"] / 1000))
+        table.add_row("rtt p99", f"{rtt['p99'] / 1000:.3f}")
         _emit(args, table, {"frames": len(records), **summary})
         return 0
 

@@ -13,9 +13,11 @@ Drowsy when the weighted share of Drowsy votes exceeds one half.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from bisect import bisect_left
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -70,12 +72,35 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.tn + self.fn
 
 
+_SHARED_TALLY: ContextVar[tuple[Sequence[ScoredSequence], Callable] | None] = ContextVar(
+    "_SHARED_TALLY", default=None
+)
+
+
+@contextlib.contextmanager
+def _one_tally(sequences: Sequence[ScoredSequence]):
+    """Within the block, every call on this very ``sequences`` object reuses one tally.
+
+    ``optimize_threshold``, ``compare_to_default`` and ``sweep`` each need
+    the same sorted classes; a caller that runs all three on one dataset
+    sorts it once.  The dataset must not change inside the block.
+    """
+    token = _SHARED_TALLY.set((sequences, _tally(sequences)))
+    try:
+        yield
+    finally:
+        _SHARED_TALLY.reset(token)
+
+
 def _tally(sequences: Sequence[ScoredSequence]) -> Callable[[float], ConfusionMatrix]:
     """Confusion matrix at any threshold, off one sort of each class's scores.
 
     A sequence is predicted Drowsy when its score reaches the threshold,
     so the misses are the drowsy scores below it, counted by bisection.
     """
+    shared = _SHARED_TALLY.get()
+    if shared is not None and shared[0] is sequences:
+        return shared[1]
     if not sequences:
         raise ValueError("empty dataset")
     drowsy = sorted(seq.score for seq in sequences if seq.label is Label.DROWSY)

@@ -20,6 +20,12 @@ frames carry no payload and are useful for header-only protocol tests.
 Echo messages repeat the original frame fields and append the server's
 receive and send timestamps.  Client and server clocks are never
 compared directly; each side only differences its own timestamps.
+
+Besides the message-level codec (``encode_frame``/``decode_frame`` and
+the socket wrappers ``read_frame``/``write_frame``), the module exposes
+what a hot path needs to work on wire bytes in place: ``recv_message``
+reads one checked message into a reused buffer, and ``MSG_IDS`` and
+``ECHO_TRAILER`` pack and unpack the fields that change per message.
 """
 
 from __future__ import annotations
@@ -32,10 +38,14 @@ from enum import IntEnum
 MAGIC = b"FRM1"
 
 _HEADER = struct.Struct("<BQQHHBI")
-_ECHO_TRAILER = struct.Struct("<QQ")
 
 HEADER_SIZE = len(MAGIC) + _HEADER.size
-ECHO_TRAILER_SIZE = _ECHO_TRAILER.size
+
+# The per-message fields, for patching encoded messages in place.
+MSG_IDS = struct.Struct("<BQQ")  # msg_type, frame_id, capture_ts_us
+MSG_IDS_OFFSET = len(MAGIC)
+ECHO_TRAILER = struct.Struct("<QQ")  # server_recv_ts_us, server_send_ts_us
+ECHO_TRAILER_SIZE = ECHO_TRAILER.size
 
 _U64_MAX = 2**64 - 1
 _U32_MAX = 2**32 - 1
@@ -82,11 +92,25 @@ def expected_payload_len(pixel_format: PixelFormat, width: int, height: int) -> 
     return 0
 
 
-def _pixel_format(raw: int) -> PixelFormat:
+def _check_magic(data) -> None:
+    if data[: len(MAGIC)] != MAGIC:
+        raise BadMagicError(f"bad magic {bytes(data[:len(MAGIC)])!r}")
+
+
+def _unpack_header(data) -> tuple[MessageType, int, int, int, int, PixelFormat, int]:
+    """The header fields after the magic, with the msg_type and pixel_format bytes checked."""
+    raw_type, frame_id, capture_ts, width, height, raw_pf, payload_len = _HEADER.unpack_from(
+        data, len(MAGIC)
+    )
     try:
-        return PixelFormat(raw)
+        msg_type = MessageType(raw_type)
     except ValueError:
-        raise UnknownPixelFormatError(f"unknown pixel_format byte 0x{raw:02x}") from None
+        raise UnknownMessageTypeError(f"unknown msg_type byte 0x{raw_type:02x}") from None
+    try:
+        pixel_format = PixelFormat(raw_pf)
+    except ValueError:
+        raise UnknownPixelFormatError(f"unknown pixel_format byte 0x{raw_pf:02x}") from None
+    return msg_type, frame_id, capture_ts, width, height, pixel_format, payload_len
 
 
 @dataclass(frozen=True)
@@ -152,7 +176,7 @@ def encode_frame(msg: FrameMessage) -> bytes:
         msg.payload,
     ]
     if msg.msg_type is MessageType.ECHO:
-        parts.append(_ECHO_TRAILER.pack(msg.server_recv_ts_us, msg.server_send_ts_us))
+        parts.append(ECHO_TRAILER.pack(msg.server_recv_ts_us, msg.server_send_ts_us))
     return b"".join(parts)
 
 
@@ -165,18 +189,10 @@ def decode_frame(data: bytes) -> FrameMessage:
     """
     if len(data) < len(MAGIC):
         raise TruncatedError(f"buffer of {len(data)} bytes is shorter than the magic")
-    if data[: len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"bad magic {bytes(data[:len(MAGIC)])!r}")
+    _check_magic(data)
     if len(data) < HEADER_SIZE:
         raise TruncatedError(f"buffer of {len(data)} bytes is shorter than the header")
-    raw_type, frame_id, capture_ts, width, height, raw_pf, payload_len = _HEADER.unpack_from(
-        data, len(MAGIC)
-    )
-    try:
-        msg_type = MessageType(raw_type)
-    except ValueError:
-        raise UnknownMessageTypeError(f"unknown msg_type byte 0x{raw_type:02x}") from None
-    pixel_format = _pixel_format(raw_pf)
+    msg_type, frame_id, capture_ts, width, height, pixel_format, payload_len = _unpack_header(data)
 
     offset = HEADER_SIZE
     if len(data) < offset + payload_len:
@@ -190,7 +206,7 @@ def decode_frame(data: bytes) -> FrameMessage:
     if msg_type is MessageType.ECHO:
         if len(data) < offset + ECHO_TRAILER_SIZE:
             raise TruncatedError("echo message is missing its server timestamps")
-        server_recv, server_send = _ECHO_TRAILER.unpack_from(data, offset)
+        server_recv, server_send = ECHO_TRAILER.unpack_from(data, offset)
         offset += ECHO_TRAILER_SIZE
     if len(data) != offset:
         raise CodecError(f"{len(data) - offset} trailing bytes after message")
@@ -210,40 +226,66 @@ def decode_frame(data: bytes) -> FrameMessage:
     return msg
 
 
-def _recv_exact(sock: socket.socket, n: int, *, at_boundary: bool) -> bytes | None:
-    """Read exactly ``n`` bytes.
+def _recv_exact(sock: socket.socket, buf: bytearray, start: int, stop: int) -> bool:
+    """Fill ``buf[start:stop]`` from the socket, growing ``buf`` as bytes arrive.
 
-    Returns None on a clean EOF at a message boundary; raises
-    TruncatedError if the peer closes mid-message.
+    ``buf`` grows to at most twice the bytes received so far, so a header
+    that declares a 4 GiB payload costs the reader no more memory than
+    the peer actually sends.  Returns False on a clean EOF before the
+    first byte of a message, ``buf[0]``; raises TruncatedError if the
+    peer closes mid-message.
     """
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(min(1 << 20, n - len(buf)))
-        if not chunk:
-            if not buf and at_boundary:
-                return None
+    while start < stop:
+        if len(buf) <= start:
+            buf.extend(bytes(min(stop, max(2 * start, HEADER_SIZE)) - len(buf)))
+        with memoryview(buf) as view:
+            got = sock.recv_into(view[start:stop])
+        if not got:
+            if start == 0:
+                return False
             raise TruncatedError("connection closed mid-message")
-        buf.extend(chunk)
-    return bytes(buf)
+        start += got
+    return True
+
+
+def recv_message(
+    sock: socket.socket, buf: bytearray, expect: MessageType | None = None
+) -> int:
+    """Read one message into the front of ``buf``; its length, or 0 on clean EOF.
+
+    ``buf`` is meant to be reused for every message of a connection: it
+    only grows, and keeps room for an echo trailer after the message, so
+    a relay can append one in place.  The header is checked before the
+    body is read: the magic, the msg_type (which must be ``expect`` when
+    that is given), the pixel format, and a payload_len that matches the
+    dimensions.
+    """
+    if not _recv_exact(sock, buf, 0, HEADER_SIZE):
+        return 0
+    _check_magic(buf)
+    msg_type, _, _, width, height, pixel_format, payload_len = _unpack_header(buf)
+    if expect is not None and msg_type is not expect:
+        raise CodecError(f"{msg_type.name} message where {expect.name} was expected")
+    expected = expected_payload_len(pixel_format, width, height)
+    if payload_len != expected:
+        raise PayloadSizeError(f"header declares {payload_len} payload bytes, expected {expected}")
+    n = HEADER_SIZE + payload_len
+    if msg_type is MessageType.ECHO:
+        n += ECHO_TRAILER_SIZE
+    _recv_exact(sock, buf, HEADER_SIZE, n)
+    if len(buf) < n + ECHO_TRAILER_SIZE:
+        buf.extend(bytes(n + ECHO_TRAILER_SIZE - len(buf)))
+    return n
 
 
 def read_frame(sock: socket.socket) -> FrameMessage | None:
     """Read one message from a stream socket, or None on clean EOF."""
-    head = _recv_exact(sock, HEADER_SIZE, at_boundary=True)
-    if head is None:
+    buf = bytearray()
+    n = recv_message(sock, buf)
+    if not n:
         return None
-    if head[: len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"bad magic {head[:len(MAGIC)]!r}")
-    raw_type, _, _, width, height, raw_pf, payload_len = _HEADER.unpack_from(head, len(MAGIC))
-    # checked before the body is read, so a bad header cannot make us buffer 4 GiB
-    expected = expected_payload_len(_pixel_format(raw_pf), width, height)
-    if payload_len != expected:
-        raise PayloadSizeError(f"header declares {payload_len} payload bytes, expected {expected}")
-    rest = payload_len
-    if raw_type == MessageType.ECHO:
-        rest += ECHO_TRAILER_SIZE
-    body = _recv_exact(sock, rest, at_boundary=False) if rest else b""
-    return decode_frame(head + body)
+    with memoryview(buf) as view:
+        return decode_frame(view[:n])
 
 
 def write_frame(sock: socket.socket, msg: FrameMessage) -> None:

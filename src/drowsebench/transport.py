@@ -8,6 +8,12 @@ frame; the inter-arrival distribution is the throughput measurement.
 Frames are paced against an ideal timeline (frame k is sent at
 ``t0 + k / fps``), so a late frame does not push every later frame
 late: pacing error stays bounded instead of accumulating.
+
+Neither side decodes or re-encodes a frame on the way.  Each reads into
+one buffer per connection with ``recv_message``; the server checks the
+header and relays the received bytes with the echo trailer appended,
+and the client patches the per-frame fields of one encoded frame in
+place and compares each echo byte for byte with what it sent.
 """
 
 from __future__ import annotations
@@ -16,19 +22,26 @@ import dataclasses
 import logging
 import socket
 import statistics
+import struct
 import threading
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .protocol import (
+from .protocol import (  # noqa: F401 - perfbench wraps read_frame/write_frame here
+    ECHO_TRAILER,
+    ECHO_TRAILER_SIZE,
+    HEADER_SIZE,
+    MSG_IDS,
+    MSG_IDS_OFFSET,
     CodecError,
     FrameMessage,
     MessageType,
     PixelFormat,
+    encode_frame,
     expected_payload_len,
     read_frame,
+    recv_message,
     write_frame,
 )
 from .report import read_csv, write_csv
@@ -107,7 +120,10 @@ class EchoServer:
 
     Each connection gets its own handler thread, so one connection's
     replies are serialized while multiple connections run concurrently.
-    Malformed messages are logged and drop the connection.
+    A frame is not decoded: its header is checked, and the received bytes
+    go back with the msg_type set to ECHO and the trailer appended.
+    Malformed messages, and messages other than frames, are logged and
+    drop the connection.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
@@ -147,24 +163,15 @@ class EchoServer:
             ).start()
 
     def _handle(self, conn: socket.socket, peer) -> None:
+        buf = bytearray()
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            while True:
-                msg = read_frame(conn)
-                if msg is None:
-                    break
+            while n := recv_message(conn, buf, expect=MessageType.FRAME):
                 recv_ts = monotonic_us()
-                if msg.msg_type is not MessageType.FRAME:
-                    log.warning("peer %s sent %s, expected a frame; closing",
-                                peer, msg.msg_type.name)
-                    break
-                echo = dataclasses.replace(
-                    msg,
-                    msg_type=MessageType.ECHO,
-                    server_recv_ts_us=recv_ts,
-                    server_send_ts_us=monotonic_us(),
-                )
-                write_frame(conn, echo)
+                buf[MSG_IDS_OFFSET] = MessageType.ECHO
+                ECHO_TRAILER.pack_into(buf, n, recv_ts, monotonic_us())
+                with memoryview(buf) as view:
+                    conn.sendall(view[: n + ECHO_TRAILER_SIZE])
         except CodecError as exc:
             log.warning("malformed message from %s: %s", peer, exc)
         except OSError:
@@ -221,12 +228,24 @@ def _sleep_until(deadline_us: int) -> None:
             time.sleep(0.0001)
 
 
-def _make_payload(base: bytes, frame_id: int) -> bytes:
-    if len(base) < 8:
-        return base
-    buf = bytearray(base)
-    buf[:8] = frame_id.to_bytes(8, "little")
-    return bytes(buf)
+_STAMP = struct.Struct("<Q")
+
+
+def _test_pattern(n: int) -> bytes:
+    """``n`` bytes of ``(i * 31 + 7) & 0xFF``, tiled from its 256-byte period."""
+    period = bytes((i * 31 + 7) & 0xFF for i in range(256))
+    return (period * (n // 256 + 1))[:n]
+
+
+def _stamp(wire: bytearray, msg_type: MessageType, frame_id: int, capture_ts_us: int) -> None:
+    """Patch one frame's fields into encoded wire bytes, in place.
+
+    Payloads of 8 bytes or more also carry the frame id in their first 8
+    bytes, so an echo of the wrong frame's payload cannot pass.
+    """
+    MSG_IDS.pack_into(wire, MSG_IDS_OFFSET, msg_type, frame_id, capture_ts_us)
+    if len(wire) >= HEADER_SIZE + _STAMP.size:
+        _STAMP.pack_into(wire, HEADER_SIZE, frame_id)
 
 
 def stream_and_measure(
@@ -242,22 +261,24 @@ def stream_and_measure(
     """Stream ``n_frames`` paced frames to an echo server and measure.
 
     A sender thread paces frames on the ideal timeline while the caller's
-    thread reads echoes, so sending never blocks on receiving.  Echoes
-    must come back in order with byte-identical payloads (checked via
-    CRC32); any violation raises ProtocolError.  Returns one record per
-    frame, sorted by frame_id.
+    thread reads echoes, so sending never blocks on receiving.  Every
+    echo must come back in order, byte-identical to the frame sent apart
+    from its msg_type, with server timestamps that do not run backwards;
+    any violation raises ProtocolError.  Returns one record per frame,
+    sorted by frame_id.
     """
     if fps <= 0:
         raise ValueError(f"fps must be positive, got {fps}")
     if n_frames < 2:
         raise ValueError(f"need at least 2 frames, got {n_frames}")
 
-    base = bytes(
-        (i * 31 + 7) & 0xFF for i in range(expected_payload_len(pixel_format, width, height))
-    )
+    wire = bytearray(encode_frame(FrameMessage(
+        MessageType.FRAME, 0, 0, width, height, pixel_format,
+        _test_pattern(expected_payload_len(pixel_format, width, height)),
+    )))
+    expected = bytearray(wire)  # the receiver's copy: the sender patches ``wire`` meanwhile
     period_us = 1e6 / fps
     send_ts: dict[int, int] = {}
-    sent_crc: dict[int, int] = {}
     sender_error: list[BaseException] = []
 
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
@@ -267,21 +288,11 @@ def stream_and_measure(
             try:
                 t0 = monotonic_us()
                 for k in range(n_frames):
-                    payload = _make_payload(base, k)
                     _sleep_until(int(t0 + k * period_us))
                     now = monotonic_us()
-                    msg = FrameMessage(
-                        msg_type=MessageType.FRAME,
-                        frame_id=k,
-                        capture_ts_us=now,
-                        width=width,
-                        height=height,
-                        pixel_format=pixel_format,
-                        payload=payload,
-                    )
+                    _stamp(wire, MessageType.FRAME, k, now)
                     send_ts[k] = now
-                    sent_crc[k] = zlib.crc32(payload)
-                    write_frame(sock, msg)
+                    sock.sendall(wire)
             except BaseException as exc:  # surfaced by the receive loop
                 sender_error.append(exc)
 
@@ -290,21 +301,28 @@ def stream_and_measure(
 
         records: list[RoundTripRecord] = []
         prev_recv: int | None = None
+        buf = bytearray()
         try:
             for k in range(n_frames):
-                msg = read_frame(sock)
+                n = recv_message(sock, buf)
                 recv = monotonic_us()
-                if msg is None:
+                if not n:
                     raise ProtocolError(
                         f"server closed the connection after {len(records)} echoes"
                         + (f" (send failed: {sender_error[0]})" if sender_error else "")
                     )
-                if msg.msg_type is not MessageType.ECHO:
-                    raise ProtocolError(f"expected an echo, got {msg.msg_type.name}")
-                if msg.frame_id != k:
-                    raise ProtocolError(f"echo out of order: expected {k}, got {msg.frame_id}")
-                if zlib.crc32(msg.payload) != sent_crc[k]:
-                    raise ProtocolError(f"echoed payload for frame {k} differs from sent payload")
+                msg_type, frame_id, _ = MSG_IDS.unpack_from(buf, MSG_IDS_OFFSET)
+                if msg_type != MessageType.ECHO:
+                    raise ProtocolError(f"expected an echo, got {MessageType(msg_type).name}")
+                if frame_id != k:
+                    raise ProtocolError(f"echo out of order: expected {k}, got {frame_id}")
+                _stamp(expected, MessageType.ECHO, k, send_ts[k])
+                # startswith is one memcmp; comparing a memoryview to bytes goes per byte
+                if not buf.startswith(expected):
+                    raise ProtocolError(f"echo of frame {k} differs from the frame sent")
+                server_recv, server_send = ECHO_TRAILER.unpack_from(buf, n - ECHO_TRAILER_SIZE)
+                if server_recv > server_send:
+                    raise ProtocolError(f"echo of frame {k} was sent before it was received")
                 records.append(
                     RoundTripRecord(
                         frame_id=k,

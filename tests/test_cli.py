@@ -374,6 +374,21 @@ class TestOptimize:
         assert (tmp_path / "curve-model1.csv").exists()
         assert (tmp_path / "curve-model2.csv").exists()
 
+    def test_sorts_each_model_once(self, tmp_path, capsys, monkeypatch):
+        # optimize, the default comparison and the curve share one tally per
+        # model, and a tally sorts the drowsy and the alert scores once each
+        import drowsebench.decision as decision
+
+        sorts = []
+        monkeypatch.setattr(decision, "sorted", lambda xs: sorts.append(sorted(xs)) or sorts[-1],
+                            raising=False)
+        scores = tmp_path / "scores.csv"
+        write_skewed_scores(scores)
+        assert main(["optimize", "--scores", str(scores), "--scores", str(scores),
+                     "--curve-out", str(tmp_path / "curve")]) == 0
+        # each curve also checks that its thresholds are sorted
+        assert len([s for s in sorts if s != decision.threshold_grid()]) == 2 * 2
+
     def test_single_class_is_degenerate(self, tmp_path, capsys):
         path = tmp_path / "alert-only.csv"
         write_scores_csv(
@@ -466,6 +481,7 @@ class TestReport:
         out = capsys.readouterr().out
         assert "round-trip summary" in out
         assert "inter-arrival" in out
+        assert re.search(rf"^rtt p99 +{bench['rtt_us']['p99'] / 1000:.3f}$", out, re.M)
 
         # RTT CSVs hold integers, so the summary round-trips exactly
         assert main(["report", "--in", str(tmp_path / "rtt-8x8.csv"), "--json"]) == 0
@@ -473,6 +489,9 @@ class TestReport:
         assert report["frames"] == 10
         assert report["inter_arrival_us"] == bench["inter_arrival_us"]
         assert report["rtt_us"] == bench["rtt_us"]
+        rtt = bench["rtt_us"]
+        assert set(rtt) == {"mean", "std", "p50", "p95", "p99", "max"}
+        assert rtt["p50"] <= rtt["p95"] <= rtt["p99"] <= rtt["max"]
 
     def test_unknown_header(self, tmp_path, capsys):
         path = tmp_path / "other.csv"

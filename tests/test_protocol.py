@@ -19,7 +19,9 @@ from drowsebench.protocol import (
     UnknownPixelFormatError,
     decode_frame,
     encode_frame,
+    expected_payload_len,
     read_frame,
+    recv_message,
 )
 
 
@@ -236,3 +238,120 @@ def test_randomized_roundtrip():
         wire = encode_frame(msg)
         assert decode_frame(wire) == msg
         assert encode_frame(decode_frame(wire)) == wire
+
+
+class TestRecvMessage:
+    def test_lying_header_costs_only_the_bytes_sent(self):
+        # 65535x21845 rgb24 is a consistent 4 GiB header; the peer then
+        # sends 1000 bytes and closes
+        header = MAGIC + struct.pack("<BQQHHBI", 0x01, 0, 0, 65535, 21845, 0x00,
+                                     65535 * 21845 * 3)
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5)
+            a.sendall(header + b"\xaa" * 1000)
+            a.shutdown(socket.SHUT_WR)
+            buf = bytearray()
+            with pytest.raises(TruncatedError):
+                recv_message(b, buf)
+            assert len(buf) <= 2 * (HEADER_SIZE + 1000)
+
+    def test_buffer_is_reused_across_messages(self):
+        small = encode_frame(tiny_frame(frame_id=2))
+        big = encode_frame(tiny_echo(frame_id=1, width=4, height=4, payload=b"\x01" * 48))
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5)
+            a.sendall(big + small)
+            a.shutdown(socket.SHUT_WR)
+            buf = bytearray()
+            n = recv_message(b, buf)
+            assert buf[:n] == big and len(buf) >= n + ECHO_TRAILER_SIZE
+            capacity = len(buf)
+            n = recv_message(b, buf)
+            assert buf[:n] == small and len(buf) == capacity
+            assert recv_message(b, buf) == 0
+
+    def test_expect_rejects_other_types_at_the_header(self):
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5)
+            a.sendall(encode_frame(tiny_echo()))
+            with pytest.raises(CodecError, match="ECHO message where FRAME was expected"):
+                recv_message(b, bytearray(), expect=MessageType.FRAME)
+            # the body is left unread
+            assert len(b.recv(1024)) == 6 + ECHO_TRAILER_SIZE
+
+
+def fuzz_strategies():
+    """Hypothesis, its strategies, and strategies for messages and for wire bytes."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    u64 = st.integers(0, 2**64 - 1)
+
+    @st.composite
+    def messages(draw) -> FrameMessage:
+        pixel_format = draw(st.sampled_from(PixelFormat))
+        if pixel_format is PixelFormat.RGB24:
+            width, height = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        else:
+            width, height = draw(st.integers(0, 65535)), draw(st.integers(0, 65535))
+        size = expected_payload_len(pixel_format, width, height)
+        payload = draw(st.binary(min_size=size, max_size=size))
+        msg_type = draw(st.sampled_from(MessageType))
+        recv = send = None
+        if msg_type is MessageType.ECHO:
+            recv = draw(u64)
+            send = draw(st.integers(recv, 2**64 - 1))
+        return FrameMessage(msg_type, draw(u64), draw(u64), width, height, pixel_format,
+                            payload, recv, send)
+
+    # arbitrary bytes, and arbitrary bytes behind the magic, which reach the header checks
+    wire_bytes = st.one_of(st.binary(max_size=200), st.binary(max_size=200).map(MAGIC.__add__))
+    return hypothesis, st, messages(), wire_bytes
+
+
+class TestFuzz:
+    def test_decode_raises_only_codec_errors(self):
+        hypothesis, _, _, wire_bytes = fuzz_strategies()
+
+        @hypothesis.settings(max_examples=500, deadline=None)
+        @hypothesis.given(wire_bytes)
+        def check(data):
+            try:
+                decode_frame(data)
+            except CodecError:
+                pass
+
+        check()
+
+    def test_decode_inverts_encode(self):
+        hypothesis, _, messages, _ = fuzz_strategies()
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(messages)
+        def check(msg):
+            wire = encode_frame(msg)
+            assert decode_frame(wire) == msg
+            assert decode_frame(memoryview(wire)) == msg
+
+        check()
+
+    def test_socket_reader_returns_or_raises_codec_errors(self):
+        hypothesis, st, messages, wire_bytes = fuzz_strategies()
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.lists(st.one_of(wire_bytes, messages.map(encode_frame)), max_size=4))
+        def check(chunks):
+            a, b = socket.socketpair()
+            with a, b:
+                b.settimeout(5)
+                a.sendall(b"".join(chunks))
+                a.shutdown(socket.SHUT_WR)
+                try:
+                    while read_frame(b) is not None:
+                        pass
+                except CodecError:
+                    pass
+
+        check()

@@ -1,9 +1,21 @@
+import dataclasses
 import socket
+import struct
 import threading
 
 import pytest
 
-from drowsebench.protocol import PixelFormat
+from drowsebench.protocol import (
+    ECHO_TRAILER_SIZE,
+    HEADER_SIZE,
+    MAGIC,
+    FrameMessage,
+    MessageType,
+    PixelFormat,
+    encode_frame,
+    expected_payload_len,
+    read_frame,
+)
 from drowsebench.transport import (
     EchoServer,
     IntervalStats,
@@ -149,18 +161,192 @@ class TestEchoServer:
         with socket.create_connection(echo_address) as sock:
             sock.sendall(b"JUNKJUNKJUNK" + b"\x00" * 30)
             sock.settimeout(5.0)
-            try:
-                data = sock.recv(1024)
-            except ConnectionResetError:
-                data = b""  # close with unread bytes shows up as a reset
-            assert data == b""
+            assert_closed_without_reply(sock)
 
     def test_echo_payload_matches_sent_payload(self, echo_address):
-        # stream_and_measure CRC-checks every echoed payload; a full
-        # session is the end-to-end integrity check
+        # stream_and_measure compares every echo byte for byte with the
+        # frame it sent; a full session is the end-to-end integrity check
         host, port = echo_address
         records = stream_and_measure(host, port, fps=400, n_frames=8, width=24, height=24)
         assert len(records) == 8
+
+    def test_echo_bytes_are_the_frame_with_a_trailer(self, echo_address):
+        frame = FrameMessage(MessageType.FRAME, 7, 123, 4, 2, PixelFormat.RGB24, bytes(range(24)))
+        with connect(echo_address) as sock:
+            sock.sendall(encode_frame(frame))
+            reply = recv_exactly(sock, HEADER_SIZE + 24 + ECHO_TRAILER_SIZE)
+        recv_ts, send_ts = struct.unpack("<QQ", reply[-ECHO_TRAILER_SIZE:])
+        assert recv_ts <= send_ts
+        assert reply == encode_frame(dataclasses.replace(
+            frame, msg_type=MessageType.ECHO, server_recv_ts_us=recv_ts, server_send_ts_us=send_ts
+        ))
+
+    def test_growing_frames_on_one_connection(self, echo_address):
+        # each frame outgrows the connection's receive buffer
+        sizes = [(1280, 720, PixelFormat.EMPTY), (8, 8, PixelFormat.RGB24),
+                 (320, 240, PixelFormat.RGB24), (1280, 720, PixelFormat.RGB24)]
+        frames = [
+            FrameMessage(MessageType.FRAME, k, k, w, h, fmt,
+                         pattern(expected_payload_len(fmt, w, h), k))
+            for k, (w, h, fmt) in enumerate(sizes)
+        ]
+        with connect(echo_address) as sock:
+            sender = threading.Thread(
+                target=lambda: [sock.sendall(encode_frame(f)) for f in frames])
+            sender.start()
+            echoes = [read_frame(sock) for _ in frames]
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+        for frame, echo in zip(frames, echoes):
+            assert echo == dataclasses.replace(
+                frame, msg_type=MessageType.ECHO, server_recv_ts_us=echo.server_recv_ts_us,
+                server_send_ts_us=echo.server_send_ts_us,
+            )
+
+    @pytest.mark.parametrize("wire", [
+        pytest.param(MAGIC + struct.pack("<BQQHHBI", 0x7F, 0, 0, 1, 1, 0x00, 3) + b"abc",
+                     id="unknown-msg-type"),
+        pytest.param(encode_frame(FrameMessage(MessageType.ECHO, 0, 0, 1, 1, PixelFormat.RGB24,
+                                               b"abc", 1, 2)), id="echo-type"),
+        pytest.param(MAGIC + struct.pack("<BQQHHBI", 0x01, 0, 0, 2, 1, 0x00, 3) + b"abc",
+                     id="payload-len-mismatch"),
+    ])
+    def test_rejected_header_gets_no_reply(self, echo_address, wire):
+        with connect(echo_address) as sock:
+            sock.sendall(wire)
+            assert_closed_without_reply(sock)
+
+
+def assert_closed_without_reply(sock: socket.socket) -> None:
+    try:
+        data = sock.recv(1024)
+    except ConnectionResetError:
+        data = b""  # close with unread bytes shows up as a reset
+    assert data == b""
+
+
+def connect(address) -> socket.socket:
+    sock = socket.create_connection(address, timeout=5.0)
+    sock.settimeout(5.0)
+    return sock
+
+
+def recv_exactly(sock: socket.socket, n: int) -> bytes:
+    data = bytearray()
+    while len(data) < n:
+        chunk = sock.recv(n - len(data))
+        if not chunk:
+            raise EOFError(f"closed after {len(data)} of {n} bytes")
+        data += chunk
+    return bytes(data)
+
+
+def pattern(n: int, frame_id: int) -> bytes:
+    """The client's payload for ``frame_id``: the test pattern, stamped with the id."""
+    payload = bytes((i * 31 + 7) & 0xFF for i in range(n))
+    return frame_id.to_bytes(8, "little") + payload[8:] if n >= 8 else payload
+
+
+class FakeServer:
+    """Serves one stream_and_measure session by hand, recording every frame it gets.
+
+    Each echo is the frame with its msg_type set to ECHO and a trailer
+    appended; ``tamper(k, echo, frames)`` may change echo ``k`` first.
+    """
+
+    def __init__(self, frame_len: int, tamper=lambda k, echo, frames: None):
+        self.frame_len = frame_len
+        self.tamper = tamper
+        self.frames: list[bytes] = []
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(5.0)
+        self.address = self.listener.getsockname()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+
+    def _serve(self) -> None:
+        conn, _ = self.listener.accept()
+        with conn:
+            conn.settimeout(5.0)
+            try:
+                while True:
+                    frame = recv_exactly(conn, self.frame_len)
+                    self.frames.append(frame)
+                    echo = bytearray(frame)
+                    echo[4] = MessageType.ECHO
+                    echo += struct.pack("<QQ", 10, 20)
+                    self.tamper(len(self.frames) - 1, echo, self.frames)
+                    conn.sendall(echo)
+            except (EOFError, OSError):
+                pass
+
+    def __enter__(self) -> "FakeServer":
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.thread.join(timeout=10)
+        self.listener.close()
+        assert not self.thread.is_alive()
+
+
+def flip_payload_byte(k, echo, frames):
+    if k == 2:
+        echo[HEADER_SIZE + 20] ^= 0x01
+
+
+def stale_stamp(k, echo, frames):
+    # frame k's payload stamp echoed for frame k + 1
+    if k == 2:
+        echo[HEADER_SIZE : HEADER_SIZE + 8] = frames[1][HEADER_SIZE : HEADER_SIZE + 8]
+
+
+def stale_frame_id(k, echo, frames):
+    if k == 2:
+        echo[5:13] = frames[1][5:13]
+
+
+def trailer_backwards(k, echo, frames):
+    if k == 2:
+        echo[-ECHO_TRAILER_SIZE:] = struct.pack("<QQ", 20, 10)
+
+
+class TestClientWire:
+    WIDTH, HEIGHT = 4, 3
+
+    def session(self, tamper=lambda k, echo, frames: None):
+        with FakeServer(HEADER_SIZE + self.WIDTH * self.HEIGHT * 3, tamper) as server:
+            records = stream_and_measure(*server.address, fps=200, n_frames=5,
+                                         width=self.WIDTH, height=self.HEIGHT, timeout_s=5.0)
+        return records, server.frames
+
+    def test_frames_sent_are_encoded_frames(self):
+        records, frames = self.session()
+        assert len(frames) == len(records) == 5
+        for k, (record, wire) in enumerate(zip(records, frames)):
+            assert wire == encode_frame(FrameMessage(
+                MessageType.FRAME, k, record.send_ts_us, self.WIDTH, self.HEIGHT,
+                PixelFormat.RGB24, pattern(self.WIDTH * self.HEIGHT * 3, k),
+            ))
+
+    def test_empty_frames_sent_are_encoded_frames(self):
+        with FakeServer(HEADER_SIZE) as server:
+            records = stream_and_measure(*server.address, fps=200, n_frames=3, width=640,
+                                         height=480, pixel_format=PixelFormat.EMPTY)
+        assert server.frames == [
+            encode_frame(FrameMessage(MessageType.FRAME, k, r.send_ts_us, 640, 480,
+                                      PixelFormat.EMPTY))
+            for k, r in enumerate(records)
+        ]
+
+    @pytest.mark.parametrize("tamper, message", [
+        (flip_payload_byte, "echo of frame 2 differs from the frame sent"),
+        (stale_stamp, "echo of frame 2 differs from the frame sent"),
+        (stale_frame_id, "echo out of order: expected 2, got 1"),
+        (trailer_backwards, "echo of frame 2 was sent before it was received"),
+    ])
+    def test_tampered_echo_raises(self, tamper, message):
+        with pytest.raises(ProtocolError, match=message):
+            self.session(tamper)
 
 
 class TestRttCsv:
