@@ -5,7 +5,7 @@ Modules:
     protocol   binary frame-message codec
     transport  echo server, paced streaming client, throughput stats
     pipeline   staged processing simulator and queue-stability analysis
-    blink      EAR computation, blink detection, feature extraction
+    blink      blink detection, feature extraction
     decision   threshold optimization and weighted ensemble voting
     synth      seeded generators for EAR traces and score datasets
     report     fixed-width report tables; the CSV reader and writer
@@ -15,18 +15,12 @@ Modules:
 __version__ = "0.1.0"
 
 from .blink import (  # noqa: F401
-    BaselineStats,
     Blink,
     BlinkDetectionConfig,
     BlinkFeatures,
     EarSample,
-    EyeLandmarks,
-    NormalizedFeatures,
-    baseline_stats,
     detect_blinks,
-    ear,
     extract_all_features,
-    normalize_features,
 )
 from .decision import (  # noqa: F401
     ConfusionMatrix,

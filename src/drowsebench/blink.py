@@ -1,15 +1,15 @@
 """Eye-aspect-ratio blink detection and per-blink feature extraction.
 
-The eye aspect ratio (EAR) of six eye landmarks p1..p6 is
+The ``ear`` column of an EAR CSV is the eye aspect ratio of six eye
+landmarks p1..p6, computed upstream of this package:
 
     ear = (|p2 - p6| + |p3 - p5|) / (2 |p1 - p4|)
 
 with p1/p4 the horizontal corners.  It is invariant under translation,
 rotation and uniform scaling, sits around 0.2-0.4 for an open eye and
 drops toward zero when the eye closes.  A blink is a run of consecutive
-below-threshold samples; its features (amplitude, closing velocity,
-duration, recent frequency) are normalized against a per-subject
-baseline built from the first third of the blinks.
+below-threshold samples; its features are amplitude, closing velocity,
+duration and recent frequency.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,49 +25,6 @@ from .report import read_csv, write_csv
 
 EAR_CSV_HEADER = ["frame_id", "ts_us", "ear"]
 FEATURES_CSV_HEADER = ["blink_id", "amplitude", "velocity", "duration_s", "freq_per_min"]
-
-FEATURE_NAMES = ("amplitude", "velocity", "duration_s", "freq_per_min")
-
-Point = tuple[float, float]
-
-
-class DegenerateEyeError(ValueError):
-    """The horizontal eye corners coincide, so the EAR is undefined."""
-
-
-@dataclass(frozen=True)
-class EyeLandmarks:
-    """Six eye landmarks: p1/p4 horizontal corners, p2/p3 top, p5/p6 bottom."""
-
-    p1: Point
-    p2: Point
-    p3: Point
-    p4: Point
-    p5: Point
-    p6: Point
-
-    @classmethod
-    def from_points(cls, points: Sequence[Point]) -> "EyeLandmarks":
-        if len(points) != 6:
-            raise ValueError(f"expected 6 landmarks, got {len(points)}")
-        return cls(*[(float(x), float(y)) for x, y in points])
-
-
-def _dist(a: Point, b: Point) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def eye_ear(eye: EyeLandmarks) -> float:
-    """EAR of a single eye."""
-    horizontal = _dist(eye.p1, eye.p4)
-    if horizontal == 0.0:
-        raise DegenerateEyeError("p1 and p4 coincide")
-    return (_dist(eye.p2, eye.p6) + _dist(eye.p3, eye.p5)) / (2.0 * horizontal)
-
-
-def ear(left: EyeLandmarks, right: EyeLandmarks) -> float:
-    """Mean EAR of both eyes."""
-    return (eye_ear(left) + eye_ear(right)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -163,9 +120,6 @@ class BlinkFeatures:
     duration_s: float
     freq_per_min: float
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.amplitude, self.velocity, self.duration_s, self.freq_per_min)
-
 
 def extract_all_features(
     blinks: Sequence[Blink], series: Sequence[EarSample], fps: float
@@ -206,77 +160,6 @@ def extract_all_features(
     return features
 
 
-@dataclass(frozen=True)
-class BaselineStats:
-    """Alert-phase feature statistics used for normalization.
-
-    Built from the first third (rounded up) of the blinks, which the
-    calibration protocol guarantees were recorded while alert.
-    """
-
-    mean: BlinkFeatures
-    std: BlinkFeatures
-    source_count: int
-
-
-def baseline_stats(features: Sequence[BlinkFeatures]) -> BaselineStats:
-    if not features:
-        raise ValueError("no features to build a baseline from")
-    head = features[: math.ceil(len(features) / 3)]
-    columns = list(zip(*(f.as_tuple() for f in head)))
-    means = [statistics.fmean(col) for col in columns]
-    stds = [statistics.pstdev(col) for col in columns]
-    return BaselineStats(
-        mean=BlinkFeatures(*means), std=BlinkFeatures(*stds), source_count=len(head)
-    )
-
-
-@dataclass(frozen=True)
-class NormalizedFeatures:
-    """Z-scores of one blink's features against the alert baseline.
-
-    Features whose baseline std is zero normalize to 0 and are listed
-    in ``degenerate``.
-    """
-
-    amplitude: float
-    velocity: float
-    duration_s: float
-    freq_per_min: float
-    degenerate: tuple[str, ...] = ()
-
-
-def normalize_features(features: BlinkFeatures, baseline: BaselineStats) -> NormalizedFeatures:
-    scores = []
-    degenerate = []
-    for name, value, mean, std in zip(
-        FEATURE_NAMES, features.as_tuple(), baseline.mean.as_tuple(), baseline.std.as_tuple()
-    ):
-        if std == 0:
-            scores.append(0.0)
-            degenerate.append(name)
-        else:
-            scores.append((value - mean) / std)
-    return NormalizedFeatures(*scores, degenerate=tuple(degenerate))
-
-
-def denormalize_features(normalized: NormalizedFeatures, baseline: BaselineStats) -> BlinkFeatures:
-    """Inverse of normalize_features for non-degenerate baselines."""
-    values = []
-    for name, score, mean, std in zip(
-        FEATURE_NAMES,
-        (normalized.amplitude, normalized.velocity, normalized.duration_s,
-         normalized.freq_per_min),
-        baseline.mean.as_tuple(),
-        baseline.std.as_tuple(),
-    ):
-        if name in normalized.degenerate:
-            values.append(mean)
-        else:
-            values.append(mean + score * std)
-    return BlinkFeatures(*values)
-
-
 def write_ear_csv(series: Iterable[EarSample], path: str | Path) -> None:
     write_csv(path, EAR_CSV_HEADER, ((s.frame_id, s.ts_us, s.ear) for s in series))
 
@@ -297,4 +180,4 @@ def read_ear_csv(path: str | Path) -> list[EarSample]:
 
 
 def write_features_csv(features: Iterable[BlinkFeatures], path: str | Path) -> None:
-    write_csv(path, FEATURES_CSV_HEADER, ((i, *f.as_tuple()) for i, f in enumerate(features)))
+    write_csv(path, FEATURES_CSV_HEADER, ((i, *astuple(f)) for i, f in enumerate(features)))

@@ -55,6 +55,7 @@ from .pipeline import (
     queue_stability,
     read_timings_csv,
     simulate_session,
+    stat_pair,
     summarize_timings,
     write_timings_csv,
 )
@@ -471,8 +472,7 @@ def cmd_report(args) -> int:
         )
         stats = []
         for stage in TIMING_STAGES:
-            values = [row[f"{stage}_ms"] for row in rows]
-            stat = StatPair(statistics.fmean(values), statistics.pstdev(values))
+            stat = stat_pair([row[f"{stage}_ms"] for row in rows])
             table.add_row(stage, mean_std_cell(stat.mean_ms, stat.std_ms))
             stats.append(stat)
         _emit(args, table, {"frames": len(rows), "stages": _stages_json(stats)})

@@ -180,6 +180,11 @@ class StatPair:
     std_ms: float
 
 
+def stat_pair(values: list[float]) -> StatPair:
+    """Population mean and standard deviation of durations in ms."""
+    return StatPair(statistics.fmean(values), statistics.pstdev(values))
+
+
 @dataclass(frozen=True)
 class TimingSummary:
     count: int
@@ -194,16 +199,12 @@ def summarize_timings(records: Iterable[TimingRecord]) -> TimingSummary:
     records = list(records)
     if not records:
         raise ValueError("no records to summarize")
-
-    def stat(values: list[float]) -> StatPair:
-        return StatPair(statistics.fmean(values), statistics.pstdev(values))
-
     return TimingSummary(
         count=len(records),
-        face=stat([r.face_ms for r in records]),
-        landmark=stat([r.landmark_ms for r in records]),
-        blink=stat([r.blink_ms for r in records]),
-        total=stat([r.total_ms for r in records]),
+        face=stat_pair([r.face_ms for r in records]),
+        landmark=stat_pair([r.landmark_ms for r in records]),
+        blink=stat_pair([r.blink_ms for r in records]),
+        total=stat_pair([r.total_ms for r in records]),
     )
 
 
@@ -226,8 +227,8 @@ class StabilityVerdict:
 
 
 def queue_stability(profiles: Iterable[StageProfile], fps: float) -> StabilityVerdict:
-    if fps <= 0:
-        raise ValueError(f"fps must be positive, got {fps}")
+    if not 0 < fps < math.inf:
+        raise ValueError(f"fps must be positive and finite, got {fps}")
     service_ms = sum(p.mean_ms for p in _stage_map(profiles).values())
     budget_ms = 1000.0 / fps
     growth = max(0.0, fps - 1000.0 / service_ms)
@@ -285,10 +286,10 @@ def simulate_session(
     the order face, landmark, blink from one ``random.Random(seed)``.
     The same seed always yields the same trace.
     """
-    if fps <= 0:
-        raise ValueError(f"fps must be positive, got {fps}")
-    if duration_s <= 0:
-        raise ValueError(f"duration_s must be positive, got {duration_s}")
+    if not 0 < fps < math.inf:
+        raise ValueError(f"fps must be positive and finite, got {fps}")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be positive and finite, got {duration_s}")
     by_name = _stage_map(profiles)
     rng = random.Random(seed)
     face, landmark, blink = (make_sampler(by_name[name], rng) for name in STAGE_ORDER)

@@ -39,10 +39,6 @@ class ReportTable:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
         return "\n".join(lines)
 
-    def to_dict(self) -> dict:
-        return {"title": self.title, "headers": list(self.headers),
-                "rows": [list(r) for r in self.rows]}
-
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence[object]]) -> None:
     """Write the header, then one line per row (``None`` as an empty field)."""

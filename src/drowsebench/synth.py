@@ -9,6 +9,7 @@ draw per-class Gaussians clamped to the 0-10 scale.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -66,8 +67,8 @@ class BlinkScript:
 
     def __post_init__(self):
         object.__setattr__(self, "blinks", tuple(self.blinks))
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise ValueError(f"fps must be positive and finite, got {self.fps}")
         if self.total_frames < 1:
             raise ValueError(f"total_frames must be >= 1, got {self.total_frames}")
         if self.noise_std < 0:

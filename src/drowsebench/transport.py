@@ -18,8 +18,10 @@ place and compares each echo byte for byte with what it sent.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import logging
+import math
 import socket
 import statistics
 import struct
@@ -264,11 +266,12 @@ def stream_and_measure(
     thread reads echoes, so sending never blocks on receiving.  Every
     echo must come back in order, byte-identical to the frame sent apart
     from its msg_type, with server timestamps that do not run backwards;
-    any violation raises ProtocolError.  Returns one record per frame,
+    any violation raises ProtocolError and shuts the socket down, so the
+    sender stops at its next frame.  Returns one record per frame,
     sorted by frame_id.
     """
-    if fps <= 0:
-        raise ValueError(f"fps must be positive, got {fps}")
+    if not 0 < fps < math.inf:
+        raise ValueError(f"fps must be positive and finite, got {fps}")
     if n_frames < 2:
         raise ValueError(f"need at least 2 frames, got {n_frames}")
 
@@ -338,6 +341,9 @@ def stream_and_measure(
                 f"timed out after {len(records)} echoes waiting for the next one"
             ) from None
         finally:
+            if len(records) < n_frames:  # the receive loop raised
+                with contextlib.suppress(OSError):  # the peer may have reset already
+                    sock.shutdown(socket.SHUT_RDWR)
             sender.join(timeout=timeout_s)
 
     if sender_error:

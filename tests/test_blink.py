@@ -1,37 +1,21 @@
 import csv
 import math
-import random
 import re
 
 import pytest
 
 from drowsebench.blink import (
-    FEATURE_NAMES,
     Blink,
     BlinkDetectionConfig,
     BlinkFeatures,
-    DegenerateEyeError,
     EarSample,
-    EyeLandmarks,
-    baseline_stats,
-    denormalize_features,
     detect_blinks,
-    ear,
     extract_all_features,
-    eye_ear,
-    normalize_features,
     read_ear_csv,
     write_ear_csv,
     write_features_csv,
 )
 from drowsebench.synth import evenly_spaced_script, gen_ear_series
-
-OPEN_EYE = EyeLandmarks(
-    p1=(0.0, 0.0), p2=(1.0, 1.0), p3=(3.0, 1.0), p4=(4.0, 0.0), p5=(3.0, -1.0), p6=(1.0, -1.0)
-)
-CLOSED_EYE = EyeLandmarks(
-    p1=(0.0, 0.0), p2=(1.0, 0.0), p3=(3.0, 0.0), p4=(4.0, 0.0), p5=(3.0, 0.0), p6=(1.0, 0.0)
-)
 
 
 def series_of(values, fps=30.0):
@@ -40,50 +24,9 @@ def series_of(values, fps=30.0):
     ]
 
 
-class TestEar:
-    def test_open_eye_hand_value(self):
-        # verticals are 2 each, horizontal is 4: (2 + 2) / (2 * 4)
-        assert eye_ear(OPEN_EYE) == 0.5
-
-    def test_closed_eye_is_zero(self):
-        assert eye_ear(CLOSED_EYE) == 0.0
-
-    def test_two_eye_mean(self):
-        assert ear(OPEN_EYE, CLOSED_EYE) == 0.25
-        assert ear(OPEN_EYE, OPEN_EYE) == 0.5
-
-    def test_similarity_invariance(self):
-        rng = random.Random(314)
-        points = [OPEN_EYE.p1, OPEN_EYE.p2, OPEN_EYE.p3, OPEN_EYE.p4, OPEN_EYE.p5, OPEN_EYE.p6]
-        reference = eye_ear(OPEN_EYE)
-        for _ in range(50):
-            theta = rng.uniform(0, 2 * math.pi)
-            scale = rng.uniform(0.1, 50.0)
-            tx, ty = rng.uniform(-100, 100), rng.uniform(-100, 100)
-            cos_t, sin_t = math.cos(theta), math.sin(theta)
-            moved = [
-                (scale * (x * cos_t - y * sin_t) + tx, scale * (x * sin_t + y * cos_t) + ty)
-                for x, y in points
-            ]
-            assert eye_ear(EyeLandmarks.from_points(moved)) == pytest.approx(
-                reference, abs=1e-9
-            )
-
-    def test_coincident_corners_rejected(self):
-        eye = EyeLandmarks(
-            p1=(1.0, 1.0), p2=(1.0, 2.0), p3=(2.0, 2.0), p4=(1.0, 1.0),
-            p5=(2.0, 0.0), p6=(1.0, 0.0),
-        )
-        with pytest.raises(DegenerateEyeError):
-            eye_ear(eye)
-
-    def test_from_points_arity(self):
-        with pytest.raises(ValueError):
-            EyeLandmarks.from_points([(0.0, 0.0)] * 5)
-
-    def test_negative_ear_sample_rejected(self):
-        with pytest.raises(ValueError):
-            EarSample(frame_id=0, ts_us=0, ear=-0.1)
+def test_negative_ear_sample_rejected():
+    with pytest.raises(ValueError):
+        EarSample(frame_id=0, ts_us=0, ear=-0.1)
 
 
 class TestDetectBlinks:
@@ -301,67 +244,6 @@ class TestExtractFeatures:
 
 def features(a, v, d, f):
     return BlinkFeatures(amplitude=a, velocity=v, duration_s=d, freq_per_min=f)
-
-
-class TestBaselineStats:
-    def test_first_third_rounds_up(self):
-        feats = [features(0.2, 1.0, 0.1, 1.0)] * 3
-        stats = baseline_stats(feats)
-        assert stats.source_count == 1
-        assert stats.mean == feats[0]
-        assert stats.std == features(0.0, 0.0, 0.0, 0.0)
-        assert baseline_stats(feats * 2 + [feats[0]]).source_count == 3
-
-    def test_hand_computed_moments(self):
-        feats = [
-            features(0.2, 1.0, 0.1, 1.0),
-            features(0.3, 2.0, 0.2, 3.0),
-            features(0.9, 9.0, 0.9, 9.0),
-            features(0.8, 8.0, 0.8, 8.0),
-            features(0.7, 7.0, 0.7, 7.0),
-            features(0.6, 6.0, 0.6, 6.0),
-        ]
-        stats = baseline_stats(feats)
-        assert stats.source_count == 2  # only the first two blinks contribute
-        assert stats.mean.as_tuple() == pytest.approx((0.25, 1.5, 0.15, 2.0))
-        assert stats.std.as_tuple() == pytest.approx((0.05, 0.5, 0.05, 1.0))
-
-    def test_single_feature(self):
-        stats = baseline_stats([features(0.2, 1.0, 0.1, 1.0)])
-        assert stats.source_count == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            baseline_stats([])
-
-
-class TestNormalization:
-    def baseline(self):
-        return baseline_stats(
-            [features(0.2, 1.0, 0.1, 1.0), features(0.3, 2.0, 0.2, 3.0)] * 3
-        )
-
-    def test_z_scores(self):
-        norm = normalize_features(features(0.3, 2.0, 0.2, 3.0), self.baseline())
-        assert (norm.amplitude, norm.velocity, norm.duration_s, norm.freq_per_min) == (
-            pytest.approx(1.0), pytest.approx(1.0), pytest.approx(1.0), pytest.approx(1.0),
-        )
-        assert norm.degenerate == ()
-
-    def test_roundtrip(self):
-        baseline = self.baseline()
-        original = features(0.27, 1.4, 0.11, 2.0)
-        restored = denormalize_features(normalize_features(original, baseline), baseline)
-        assert restored.as_tuple() == pytest.approx(original.as_tuple(), abs=1e-12)
-
-    def test_degenerate_baseline(self):
-        flat = baseline_stats([features(0.2, 1.0, 0.1, 1.0)] * 3)
-        norm = normalize_features(features(0.5, 3.0, 0.4, 2.0), flat)
-        assert (norm.amplitude, norm.velocity, norm.duration_s, norm.freq_per_min) == (
-            0.0, 0.0, 0.0, 0.0,
-        )
-        assert norm.degenerate == FEATURE_NAMES
-        assert denormalize_features(norm, flat) == flat.mean
 
 
 class TestCsv:

@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -23,3 +24,11 @@ def test_package_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+def test_readme_library_imports_run():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", library, re.DOTALL)
+    assert block and "from drowsebench import" in block.group(1)
+    exec(compile(block.group(1), "README.md", "exec"), {})

@@ -181,6 +181,13 @@ class TestSimulateSession:
         with pytest.raises(ValueError):
             simulate_session(30, 0, det_profiles(), seed=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rates(self, value):
+        with pytest.raises(ValueError, match="^fps must be positive and finite, got"):
+            simulate_session(value, 1, det_profiles(), seed=0)
+        with pytest.raises(ValueError, match="^duration_s must be positive and finite, got"):
+            simulate_session(30, value, det_profiles(), seed=0)
+
 
 # SHA-256 of repr((rows, queue_length_at_arrival)) of a 10 s session at
 # 30 fps, one row (frame_id, recv, face_done, landmark_done, blink_done) per
@@ -361,6 +368,11 @@ class TestQueueStability:
     def test_rejects_bad_fps(self):
         with pytest.raises(ValueError):
             queue_stability(det_profiles(), fps=0)
+
+    @pytest.mark.parametrize("fps", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fps(self, fps):
+        with pytest.raises(ValueError, match="^fps must be positive and finite, got"):
+            queue_stability(det_profiles(), fps=fps)
 
 
 def make_record(frame_id, recv, face, landmark, blink):

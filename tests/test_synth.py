@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from drowsebench.blink import BlinkDetectionConfig, detect_blinks
@@ -62,6 +64,11 @@ class TestBlinkScript:
             BlinkScript(blinks=(), fps=30, total_frames=0)
         with pytest.raises(ValueError):
             BlinkScript(blinks=(), fps=30, total_frames=10, noise_std=-0.1)
+
+    @pytest.mark.parametrize("fps", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fps(self, fps):
+        with pytest.raises(ValueError, match="^fps must be positive and finite, got"):
+            BlinkScript(blinks=(), fps=fps, total_frames=10)
 
 
 class TestGenEarSeries:

@@ -1,7 +1,9 @@
 import dataclasses
+import math
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -129,6 +131,11 @@ class TestStreamAndMeasure:
             stream_and_measure(host, port, fps=0, n_frames=10, width=8, height=8)
         with pytest.raises(ValueError):
             stream_and_measure(host, port, fps=30, n_frames=1, width=8, height=8)
+
+    @pytest.mark.parametrize("fps", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fps(self, echo_address, fps):
+        with pytest.raises(ValueError, match="^fps must be positive and finite, got"):
+            stream_and_measure(*echo_address, fps=fps, n_frames=10, width=8, height=8)
 
     def test_connection_refused(self):
         # grab a port that nothing listens on
@@ -347,6 +354,17 @@ class TestClientWire:
     def test_tampered_echo_raises(self, tamper, message):
         with pytest.raises(ProtocolError, match=message):
             self.session(tamper)
+
+    def test_receive_error_stops_the_sender(self):
+        # 500 frames at 30 fps take 16.7 s to send; the error must not wait for them
+        with FakeServer(HEADER_SIZE + self.WIDTH * self.HEIGHT * 3, flip_payload_byte) as server:
+            started = time.monotonic()
+            with pytest.raises(ProtocolError, match="echo of frame 2 differs"):
+                stream_and_measure(*server.address, fps=30, n_frames=500,
+                                   width=self.WIDTH, height=self.HEIGHT)
+            elapsed = time.monotonic() - started
+        assert elapsed < 1.0
+        assert len(server.frames) <= 30
 
 
 class TestRttCsv:
