@@ -28,6 +28,7 @@ from .decision import (  # noqa: F401
     ModelStats,
     Rates,
     ScoredSequence,
+    ScoreTally,
     ThresholdCurve,
     VoteResult,
     compare_to_default,

@@ -36,7 +36,7 @@ from .decision import (
     DEFAULT_W_FN,
     DEFAULT_W_FP,
     DegenerateDataError,
-    _one_tally,
+    ScoreTally,
     compare_to_default,
     optimize_threshold,
     read_model_stats_json,
@@ -352,10 +352,12 @@ def cmd_optimize(args) -> int:
     payload = {"w_fn": args.w_fn, "w_fp": args.w_fp, "models": []}
     for model_id, path in enumerate(args.scores, start=1):
         sequences = read_scores_csv(path)
-        with _one_tally(sequences):
-            threshold, _ = optimize_threshold(sequences, grid, args.w_fn, args.w_fp)
-            cmp = compare_to_default(sequences, threshold, w_fn=args.w_fn, w_fp=args.w_fp)
-            curve = sweep(sequences, grid, args.w_fn, args.w_fp) if args.curve_out else None
+        if not sequences:
+            raise DegenerateDataError(f"{path} holds no scored sequences")
+        tally = ScoreTally.of(sequences)
+        threshold, _ = optimize_threshold(tally, args.w_fn, args.w_fp)
+        cmp = compare_to_default(tally, threshold, args.w_fn, args.w_fp)
+        curve = sweep(tally, args.w_fn, args.w_fp) if args.curve_out else None
 
         def pct(value: float | None) -> str:
             return "n/a" if value is None else f"{value:+.1f}%"

@@ -7,21 +7,25 @@ alarm, thresholds are picked by minimizing a weighted cost
 ``w_fn * fnr + w_fp * fpr`` (defaults 2 and 1) over a fixed grid of 21
 thresholds from 10/3 to 10 in steps of 1/3.
 
+A ``ScoreTally`` sorts each class's scores once and reads the
+confusion matrix at any threshold off them by bisection.  ``confusion``,
+``sweep``, ``optimize_threshold`` and ``compare_to_default`` accept a
+tally or a list of sequences; a caller that runs several of them on one
+dataset builds the tally once and passes it to each.
+
 Several models vote with weights ``2 * tpr + tnr``; the ensemble says
 Drowsy when the weighted share of Drowsy votes exceeds one half.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from bisect import bisect_left
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .report import read_csv, write_csv
 
@@ -72,53 +76,44 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.tn + self.fn
 
 
-_SHARED_TALLY: ContextVar[tuple[Sequence[ScoredSequence], Callable] | None] = ContextVar(
-    "_SHARED_TALLY", default=None
-)
-
-
-@contextlib.contextmanager
-def _one_tally(sequences: Sequence[ScoredSequence]):
-    """Within the block, every call on this very ``sequences`` object reuses one tally.
-
-    ``optimize_threshold``, ``compare_to_default`` and ``sweep`` each need
-    the same sorted classes; a caller that runs all three on one dataset
-    sorts it once.  The dataset must not change inside the block.
-    """
-    token = _SHARED_TALLY.set((sequences, _tally(sequences)))
-    try:
-        yield
-    finally:
-        _SHARED_TALLY.reset(token)
-
-
-def _tally(sequences: Sequence[ScoredSequence]) -> Callable[[float], ConfusionMatrix]:
-    """Confusion matrix at any threshold, off one sort of each class's scores.
+@dataclass(frozen=True)
+class ScoreTally:
+    """Each class's scores, sorted once: the confusion matrix at any threshold.
 
     A sequence is predicted Drowsy when its score reaches the threshold,
     so the misses are the drowsy scores below it, counted by bisection.
     """
-    shared = _SHARED_TALLY.get()
-    if shared is not None and shared[0] is sequences:
-        return shared[1]
-    if not sequences:
-        raise ValueError("empty dataset")
-    drowsy = sorted(seq.score for seq in sequences if seq.label is Label.DROWSY)
-    alert = sorted(seq.score for seq in sequences if seq.label is not Label.DROWSY)
 
-    def at(threshold: float) -> ConfusionMatrix:
+    drowsy: tuple[float, ...]
+    alert: tuple[float, ...]
+
+    @classmethod
+    def of(cls, sequences: Sequence[ScoredSequence]) -> "ScoreTally":
+        """Sort a dataset's drowsy and alert scores; an empty dataset is degenerate."""
+        if not sequences:
+            raise DegenerateDataError("empty dataset")
+        return cls(
+            drowsy=tuple(sorted(seq.score for seq in sequences if seq.label is Label.DROWSY)),
+            alert=tuple(sorted(seq.score for seq in sequences if seq.label is not Label.DROWSY)),
+        )
+
+    def at(self, threshold: float) -> ConfusionMatrix:
         if math.isnan(threshold):
             raise ValueError("threshold must not be NaN")
-        fn = bisect_left(drowsy, threshold)
-        tn = bisect_left(alert, threshold)
-        return ConfusionMatrix(tp=len(drowsy) - fn, fp=len(alert) - tn, tn=tn, fn=fn)
-
-    return at
+        fn = bisect_left(self.drowsy, threshold)
+        tn = bisect_left(self.alert, threshold)
+        return ConfusionMatrix(tp=len(self.drowsy) - fn, fp=len(self.alert) - tn, tn=tn, fn=fn)
 
 
-def confusion(sequences: Sequence[ScoredSequence], threshold: float) -> ConfusionMatrix:
+def _tally(sequences: Sequence[ScoredSequence] | ScoreTally) -> ScoreTally:
+    return sequences if isinstance(sequences, ScoreTally) else ScoreTally.of(sequences)
+
+
+def confusion(
+    sequences: Sequence[ScoredSequence] | ScoreTally, threshold: float
+) -> ConfusionMatrix:
     """Tally predictions at a threshold; Drowsy is the positive class."""
-    return _tally(sequences)(threshold)
+    return _tally(sequences).at(threshold)
 
 
 @dataclass(frozen=True)
@@ -174,21 +169,11 @@ class ThresholdCurve:
     w_fn: float
     w_fp: float
 
-    def __post_init__(self):
-        thresholds = [p.threshold for p in self.points]
-        if thresholds != sorted(thresholds) or len(set(thresholds)) != len(thresholds):
-            raise ValueError("curve thresholds must be strictly increasing")
 
-
-def _curve(
-    tally: Callable[[float], ConfusionMatrix],
-    grid: Sequence[float] | None,
-    w_fn: float,
-    w_fp: float,
-) -> ThresholdCurve:
+def _curve(tally: ScoreTally, w_fn: float, w_fp: float) -> ThresholdCurve:
     points = []
-    for threshold in threshold_grid() if grid is None else grid:
-        rates = Rates.from_confusion(tally(threshold))
+    for threshold in threshold_grid():
+        rates = Rates.from_confusion(tally.at(threshold))
         points.append(
             CurvePoint(
                 threshold=threshold,
@@ -201,18 +186,16 @@ def _curve(
 
 
 def sweep(
-    sequences: Sequence[ScoredSequence],
-    grid: Sequence[float] | None = None,
+    sequences: Sequence[ScoredSequence] | ScoreTally,
     w_fn: float = DEFAULT_W_FN,
     w_fp: float = DEFAULT_W_FP,
 ) -> ThresholdCurve:
     """Evaluate rates and cost at every grid threshold, in grid order."""
-    return _curve(_tally(sequences), grid, w_fn, w_fp)
+    return _curve(_tally(sequences), w_fn, w_fp)
 
 
 def optimize_threshold(
-    sequences: Sequence[ScoredSequence],
-    grid: Sequence[float] | None = None,
+    sequences: Sequence[ScoredSequence] | ScoreTally,
     w_fn: float = DEFAULT_W_FN,
     w_fp: float = DEFAULT_W_FP,
 ) -> tuple[float, Rates]:
@@ -222,14 +205,12 @@ def optimize_threshold(
     vacuous and every threshold ties.
     """
     tally = _tally(sequences)
-    labels = {seq.label for seq in sequences}
-    if len(labels) < 2:
-        raise DegenerateDataError(
-            f"dataset holds only {next(iter(labels)).name} sequences; need both classes"
-        )
+    if not tally.drowsy or not tally.alert:
+        only = Label.ALERT if tally.alert else Label.DROWSY
+        raise DegenerateDataError(f"dataset holds only {only.name} sequences; need both classes")
     # min keeps the first of equal costs, and grid thresholds increase
-    best = min(_curve(tally, grid, w_fn, w_fp).points, key=lambda point: point.cost)
-    return best.threshold, Rates.from_confusion(tally(best.threshold))
+    best = min(_curve(tally, w_fn, w_fp).points, key=lambda point: point.cost)
+    return best.threshold, Rates.from_confusion(tally.at(best.threshold))
 
 
 def percent_change(old: float, new: float) -> float | None:
@@ -256,18 +237,18 @@ class ThresholdComparison:
 
 
 def compare_to_default(
-    sequences: Sequence[ScoredSequence],
+    sequences: Sequence[ScoredSequence] | ScoreTally,
     optimal_threshold: float,
-    default_threshold: float = DEFAULT_THRESHOLD,
     w_fn: float = DEFAULT_W_FN,
     w_fp: float = DEFAULT_W_FP,
 ) -> ThresholdComparison:
+    """Rates and cost at ``optimal_threshold`` against ``DEFAULT_THRESHOLD``."""
     tally = _tally(sequences)
-    opt = Rates.from_confusion(tally(optimal_threshold))
-    dft = Rates.from_confusion(tally(default_threshold))
+    opt = Rates.from_confusion(tally.at(optimal_threshold))
+    dft = Rates.from_confusion(tally.at(DEFAULT_THRESHOLD))
     return ThresholdComparison(
         optimal_threshold=optimal_threshold,
-        default_threshold=default_threshold,
+        default_threshold=DEFAULT_THRESHOLD,
         optimal_cost=cost(opt, w_fn, w_fp),
         optimal_fpr=opt.fpr,
         optimal_fnr=opt.fnr,

@@ -386,8 +386,14 @@ def write_timings_csv(records: Iterable[TimingRecord], path: str | Path) -> None
 
 
 def read_timings_csv(path: str | Path) -> list[dict[str, float]]:
-    return read_csv(
-        path,
-        TIMING_CSV_HEADER,
-        lambda frame_id, *ms: dict(zip(TIMING_CSV_HEADER, (int(frame_id), *map(float, ms)))),
-    )
+    """Per-frame stage durations of a CSV file; every duration must be finite."""
+
+    def parse(frame_id: str, *durations: str) -> dict[str, float]:
+        row = {"frame_id": int(frame_id)}
+        for name, text in zip(TIMING_CSV_HEADER[1:], durations):
+            row[name] = float(text)
+            if not math.isfinite(row[name]):
+                raise ValueError(f"{name} must be finite, got {row[name]}")
+        return row
+
+    return read_csv(path, TIMING_CSV_HEADER, parse)

@@ -137,28 +137,31 @@ def gen_ear_series(script: BlinkScript) -> tuple[list[EarSample], list[Blink]]:
     return series, truth
 
 
+# shape of every blink in an evenly spaced script
+SCRIPT_BASELINE_EAR = 0.35
+SCRIPT_TROUGH_EAR = 0.10
+SCRIPT_DESCENT_FRAMES = 3
+SCRIPT_CLOSED_FRAMES = 4
+SCRIPT_SPACING_FRAMES = 40
+
+
 def evenly_spaced_script(
     n_blinks: int,
     fps: float = 30.0,
     total_frames: int | None = None,
     noise_std: float = 0.0,
     seed: int = 0,
-    baseline_ear: float = 0.35,
-    trough_ear: float = 0.10,
-    descent_frames: int = 3,
-    closed_frames: int = 4,
-    spacing_frames: int = 40,
 ) -> BlinkScript:
     """Convenience script with ``n_blinks`` identical, well-separated blinks."""
     if n_blinks < 0:
         raise ValueError(f"n_blinks must be >= 0, got {n_blinks}")
     blinks = [
         ScriptedBlink(
-            onset_frame=20 + i * spacing_frames,
-            closed_frames=closed_frames,
-            trough_ear=trough_ear,
-            baseline_ear=baseline_ear,
-            descent_frames=descent_frames,
+            onset_frame=20 + i * SCRIPT_SPACING_FRAMES,
+            closed_frames=SCRIPT_CLOSED_FRAMES,
+            trough_ear=SCRIPT_TROUGH_EAR,
+            baseline_ear=SCRIPT_BASELINE_EAR,
+            descent_frames=SCRIPT_DESCENT_FRAMES,
         )
         for i in range(n_blinks)
     ]
@@ -169,7 +172,7 @@ def evenly_spaced_script(
         total_frames=max(total_frames or 0, needed),
         noise_std=noise_std,
         seed=seed,
-        open_ear=baseline_ear,
+        open_ear=SCRIPT_BASELINE_EAR,
     )
 
 

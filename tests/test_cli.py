@@ -134,12 +134,17 @@ def test_csv_rules(fmt, tmp_path, capsys):
     capsys.readouterr()
 
     width = len(header.split(","))
-    for bad_row, got in [(rows[1].rsplit(",", 1)[0], width - 1), (rows[1] + ",7", width + 1)]:
+    short = rows[1].rsplit(",", 1)[0]
+    for bad_row, reason in [
+        (short, f"expected {width} fields, got {width - 1}\n"),
+        (rows[1] + ",7", f"expected {width} fields, got {width + 1}\n"),
+        # a non-finite value where a number belongs
+        (short + ",nan", ""),
+        (short + ",inf", ""),
+    ]:
         path.write_text("\n".join([header, rows[0], bad_row, *rows[2:]]) + "\n")
         assert main([*command, str(path)]) == 2
-        assert f"error: {path} line 3: expected {width} fields, got {got}\n" in (
-            capsys.readouterr().err
-        )
+        assert f"error: {path} line 3: {reason}" in capsys.readouterr().err
 
     path.write_text("\n".join(["a,b,c", *rows]) + "\n")
     with pytest.raises(ValueError, match="^unexpected header"):
@@ -398,6 +403,12 @@ class TestOptimize:
 
     def test_missing_file(self):
         assert main(["optimize", "--scores", "/no/such/scores.csv"]) == 2
+
+    def test_header_only_file_is_degenerate(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("id,score,label\n")
+        assert main(["optimize", "--scores", str(path)]) == 3
+        assert capsys.readouterr().err == f"degenerate data: {path} holds no scored sequences\n"
 
     def test_readme_label_encoding(self, tmp_path, capsys):
         # README "File formats": id,score,label with label 0 alert, 10 drowsy

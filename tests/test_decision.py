@@ -10,6 +10,7 @@ from drowsebench.decision import (
     ModelStats,
     Rates,
     ScoredSequence,
+    ScoreTally,
     compare_to_default,
     confusion,
     cost,
@@ -117,15 +118,21 @@ class TestConfusion:
                 pairs = [(score, pairs[0][1]) for score, _ in pairs]
             data = [ScoredSequence(i, score, label) for i, (score, label) in enumerate(pairs)]
             expected = {t: brute(data, t) for t in grid}
-            assert {t: confusion(data, t) for t in grid} == expected
-            for point in sweep(data).points:
-                rates = Rates.from_confusion(expected[point.threshold])
-                assert (point.fpr, point.fnr, point.cost) == (rates.fpr, rates.fnr, cost(rates))
-            cmp = compare_to_default(data, grid[3])
-            opt = Rates.from_confusion(expected[grid[3]])
-            dft = Rates.from_confusion(expected[DEFAULT_THRESHOLD])
-            assert (cmp.optimal_fpr, cmp.optimal_fnr) == (opt.fpr, opt.fnr)
-            assert (cmp.default_fpr, cmp.default_fnr) == (dft.fpr, dft.fnr)
+            for given in (data, ScoreTally.of(data)):
+                assert {t: confusion(given, t) for t in grid} == expected
+                for point in sweep(given).points:
+                    rates = Rates.from_confusion(expected[point.threshold])
+                    assert (point.fpr, point.fnr, point.cost) == (
+                        rates.fpr, rates.fnr, cost(rates)
+                    )
+                cmp = compare_to_default(given, grid[3])
+                opt = Rates.from_confusion(expected[grid[3]])
+                dft = Rates.from_confusion(expected[DEFAULT_THRESHOLD])
+                assert (cmp.optimal_fpr, cmp.optimal_fnr) == (opt.fpr, opt.fnr)
+                assert (cmp.default_fpr, cmp.default_fnr) == (dft.fpr, dft.fnr)
+                if single_class:
+                    with pytest.raises(DegenerateDataError, match=f"only {pairs[0][1].name} "):
+                        optimize_threshold(given)
 
         check()
 

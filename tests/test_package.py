@@ -26,6 +26,22 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_modules_import_no_private_name_from_a_sibling():
+    private = []
+    for path in sorted(Path(drowsebench.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").partition(".")[0] != "drowsebench":
+                continue
+            private += [
+                f"{path.name}:{node.lineno} {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert private == []
+
+
 def test_readme_library_imports_run():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     library = readme.split("\n## Library\n", 1)[1]

@@ -134,7 +134,7 @@ class TestGenEarSeries:
         assert detect_blinks(series, config) == truth
 
     def test_evenly_spaced_script_layout(self):
-        script = evenly_spaced_script(3, spacing_frames=40)
+        script = evenly_spaced_script(3)
         assert [b.onset_frame for b in script.blinks] == [20, 60, 100]
         assert script.total_frames == script.blinks[-1].end_frame + 21
         series, truth = gen_ear_series(script)
