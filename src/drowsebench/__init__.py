@@ -8,7 +8,8 @@ Modules:
     blink      blink detection, feature extraction
     decision   threshold optimization and weighted ensemble voting
     synth      seeded generators for EAR traces and score datasets
-    report     fixed-width report tables; the CSV reader and writer
+    report     fixed-width report tables, the population std, the CSV
+               row reader and writer
     cli        the ``drowsebench`` command-line front end
 """
 

@@ -21,13 +21,13 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .report import read_csv, write_csv
+from .report import iter_csv, write_csv
 
 EAR_CSV_HEADER = ["frame_id", "ts_us", "ear"]
 FEATURES_CSV_HEADER = ["blink_id", "amplitude", "velocity", "duration_s", "freq_per_min"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EarSample:
     frame_id: int
     ts_us: int
@@ -176,7 +176,7 @@ def read_ear_csv(path: str | Path) -> list[EarSample]:
         last_frame_id = sample.frame_id
         return sample
 
-    return read_csv(path, EAR_CSV_HEADER, parse)
+    return list(iter_csv(path, EAR_CSV_HEADER, parse))
 
 
 def write_features_csv(features: Iterable[BlinkFeatures], path: str | Path) -> None:

@@ -36,11 +36,11 @@ from .decision import (
     DEFAULT_W_FN,
     DEFAULT_W_FP,
     DegenerateDataError,
-    ScoreTally,
     compare_to_default,
     optimize_threshold,
     read_model_stats_json,
-    read_scores_csv,
+    read_score_tally,
+    read_scores_csv,  # noqa: F401 - perfbench wraps it here
     sweep,
     threshold_grid,
     vote,
@@ -53,14 +53,14 @@ from .pipeline import (
     average_stage_set,
     load_stage_sets,
     queue_stability,
-    read_timings_csv,
+    read_timing_columns,
     simulate_session,
     stat_pair,
     summarize_timings,
     write_timings_csv,
 )
 from .protocol import CodecError, PixelFormat
-from .report import ReportTable, mean_std_cell
+from .report import ReportTable, mean_std_cell, pstdev
 from .synth import ScoreDatasetSpec, evenly_spaced_script, gen_ear_series, gen_score_dataset
 from .transport import (
     RTT_CSV_HEADER,
@@ -126,9 +126,12 @@ def _parse_class_spec(text: str, flag: str) -> tuple[int, float, float]:
     if len(parts) != 3:
         raise UsageError(f"{flag} expects COUNT,MEAN,STD, got {text!r}")
     try:
-        return int(parts[0]), float(parts[1]), float(parts[2])
+        count, mean, std = int(parts[0]), float(parts[1]), float(parts[2])
     except ValueError:
         raise UsageError(f"{flag} expects COUNT,MEAN,STD, got {text!r}") from None
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise UsageError(f"{flag} expects a finite MEAN and STD, got {text!r}")
+    return count, mean, std
 
 
 def _parse_decisions(text: str) -> list[int]:
@@ -175,7 +178,7 @@ def _round_trip_json(records) -> dict:
         },
         "rtt_us": {
             "mean": statistics.fmean(rtts),
-            "std": statistics.pstdev(rtts),
+            "std": pstdev(rtts),
             "p50": cuts[49],
             "p95": cuts[94],
             "p99": cuts[98],
@@ -351,10 +354,7 @@ def cmd_optimize(args) -> int:
     )
     payload = {"w_fn": args.w_fn, "w_fp": args.w_fp, "models": []}
     for model_id, path in enumerate(args.scores, start=1):
-        sequences = read_scores_csv(path)
-        if not sequences:
-            raise DegenerateDataError(f"{path} holds no scored sequences")
-        tally = ScoreTally.of(sequences)
+        tally = read_score_tally(path)
         threshold, _ = optimize_threshold(tally, args.w_fn, args.w_fp)
         cmp = compare_to_default(tally, threshold, args.w_fn, args.w_fp)
         curve = sweep(tally, args.w_fn, args.w_fp) if args.curve_out else None
@@ -426,8 +426,8 @@ def cmd_gen(args) -> int:
     if args.what == "ear":
         if args.blinks < 0:
             raise UsageError(f"--blinks must be >= 0, got {args.blinks}")
-        if args.noise < 0:
-            raise UsageError(f"--noise must be >= 0, got {args.noise}")
+        if not 0 <= args.noise < math.inf:
+            raise UsageError(f"--noise must be >= 0 and finite, got {args.noise}")
         script = evenly_spaced_script(
             n_blinks=args.blinks,
             fps=args.fps,
@@ -465,19 +465,20 @@ def cmd_report(args) -> int:
     header = first.split(",")
 
     if header == TIMING_CSV_HEADER:
-        rows = read_timings_csv(args.infile)
-        if not rows:
+        columns = read_timing_columns(args.infile)
+        frames = len(columns[0])
+        if not frames:
             raise DegenerateDataError(f"{args.infile} holds no timing rows")
         table = ReportTable(
-            title=f"timing summary of {args.infile} ({len(rows)} frames)",
+            title=f"timing summary of {args.infile} ({frames} frames)",
             headers=["stage", "duration ms"],
         )
         stats = []
-        for stage in TIMING_STAGES:
-            stat = stat_pair([row[f"{stage}_ms"] for row in rows])
+        for stage, column in zip(TIMING_STAGES, columns):
+            stat = stat_pair(column)
             table.add_row(stage, mean_std_cell(stat.mean_ms, stat.std_ms))
             stats.append(stat)
-        _emit(args, table, {"frames": len(rows), "stages": _stages_json(stats)})
+        _emit(args, table, {"frames": frames, "stages": _stages_json(stats)})
         return 0
 
     if header == RTT_CSV_HEADER:

@@ -12,6 +12,8 @@ confusion matrix at any threshold off them by bisection.  ``confusion``,
 ``sweep``, ``optimize_threshold`` and ``compare_to_default`` accept a
 tally or a list of sequences; a caller that runs several of them on one
 dataset builds the tally once and passes it to each.
+``read_score_tally`` folds a scores CSV's rows straight into a tally,
+with the checks of ``read_scores_csv`` and no ``ScoredSequence`` per row.
 
 Several models vote with weights ``2 * tpr + tnr``; the ensemble says
 Drowsy when the weighted share of Drowsy votes exceeds one half.
@@ -27,7 +29,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .report import read_csv, write_csv
+from .report import iter_csv, write_csv
 
 SCORES_CSV_HEADER = ["id", "score", "label"]
 CURVE_CSV_HEADER = ["threshold", "fpr", "fnr", "cost"]
@@ -46,7 +48,12 @@ class Label(IntEnum):
     DROWSY = 10
 
 
-@dataclass(frozen=True)
+def _check_score(score: float) -> None:
+    if not 0.0 <= score <= 10.0:
+        raise ValueError(f"score must be within [0, 10], got {score}")
+
+
+@dataclass(frozen=True, slots=True)
 class ScoredSequence:
     """One scored observation window with its ground-truth label."""
 
@@ -55,8 +62,7 @@ class ScoredSequence:
     label: Label
 
     def __post_init__(self):
-        if not 0.0 <= self.score <= 10.0:
-            raise ValueError(f"score must be within [0, 10], got {self.score}")
+        _check_score(self.score)
 
 
 def threshold_grid() -> list[float]:
@@ -326,12 +332,39 @@ def write_scores_csv(sequences: Iterable[ScoredSequence], path: str | Path) -> N
     write_csv(path, SCORES_CSV_HEADER, ((s.id, s.score, int(s.label)) for s in sequences))
 
 
-def read_scores_csv(path: str | Path) -> list[ScoredSequence]:
-    return read_csv(
-        path,
-        SCORES_CSV_HEADER,
-        lambda seq_id, score, label: ScoredSequence(int(seq_id), float(score), Label(int(label))),
+_LABEL_FIELDS = {"0": Label.ALERT, "10": Label.DROWSY}
+
+
+def _parse_score_row(seq_id: str, score: str, label: str) -> tuple[int, float, Label]:
+    """One scores CSV row, checked in the order id, score, label, score range."""
+    row = (
+        int(seq_id),
+        float(score),
+        _LABEL_FIELDS[label] if label in _LABEL_FIELDS else Label(int(label)),
     )
+    _check_score(row[1])
+    return row
+
+
+def read_scores_csv(path: str | Path) -> list[ScoredSequence]:
+    return list(
+        iter_csv(path, SCORES_CSV_HEADER, lambda *row: ScoredSequence(*_parse_score_row(*row)))
+    )
+
+
+def read_score_tally(path: str | Path) -> ScoreTally:
+    """``ScoreTally.of(read_scores_csv(path))``, folded straight from the rows.
+
+    Same checks and messages as ``read_scores_csv``, with no
+    ``ScoredSequence`` built; a file with no rows is degenerate.
+    """
+    drowsy: list[float] = []
+    alert: list[float] = []
+    for _, score, label in iter_csv(path, SCORES_CSV_HEADER, _parse_score_row):
+        (drowsy if label is Label.DROWSY else alert).append(score)
+    if not drowsy and not alert:
+        raise DegenerateDataError(f"{path} holds no scored sequences")
+    return ScoreTally(drowsy=tuple(sorted(drowsy)), alert=tuple(sorted(alert)))
 
 
 def write_curve_csv(curve: ThresholdCurve, path: str | Path) -> None:

@@ -12,6 +12,11 @@ a single-server queue) and ends at ``d_k = s_k + face + landmark +
 blink``, each stage time drawn from its profile.  Time is computed, not
 measured, so a multi-minute session simulates in milliseconds and is
 exactly reproducible from its seed.
+
+Timing summaries are the mean and the population standard deviation
+(``report.pstdev``, correctly rounded and equal to ``statistics.pstdev``).
+The ``report`` command folds a timing CSV into one column per stage
+(``read_timing_columns``) instead of one dict per row.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .report import read_csv, write_csv
+from .report import iter_csv, pstdev, write_csv
 
 TIMING_CSV_HEADER = ["frame_id", "face_ms", "landmark_ms", "blink_ms", "total_ms"]
 
@@ -68,7 +73,7 @@ class StageProfile:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimingRecord:
     """Timestamps (microseconds) of one frame's trip through the stages.
 
@@ -181,8 +186,8 @@ class StatPair:
 
 
 def stat_pair(values: list[float]) -> StatPair:
-    """Population mean and standard deviation of durations in ms."""
-    return StatPair(statistics.fmean(values), statistics.pstdev(values))
+    """Mean and population standard deviation (``report.pstdev``) of durations in ms."""
+    return StatPair(statistics.fmean(values), pstdev(values))
 
 
 @dataclass(frozen=True)
@@ -385,15 +390,38 @@ def write_timings_csv(records: Iterable[TimingRecord], path: str | Path) -> None
     )
 
 
+def _parse_timing_row(frame_id: str, *durations: str) -> list:
+    """One timings CSV row: the frame id, then each duration, which must be finite."""
+    row: list = [int(frame_id)]
+    for name, text in zip(TIMING_CSV_HEADER[1:], durations):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        row.append(value)
+    return row
+
+
 def read_timings_csv(path: str | Path) -> list[dict[str, float]]:
     """Per-frame stage durations of a CSV file; every duration must be finite."""
+    return [
+        dict(zip(TIMING_CSV_HEADER, row))
+        for row in iter_csv(path, TIMING_CSV_HEADER, _parse_timing_row)
+    ]
 
-    def parse(frame_id: str, *durations: str) -> dict[str, float]:
-        row = {"frame_id": int(frame_id)}
-        for name, text in zip(TIMING_CSV_HEADER[1:], durations):
-            row[name] = float(text)
-            if not math.isfinite(row[name]):
-                raise ValueError(f"{name} must be finite, got {row[name]}")
-        return row
 
-    return read_csv(path, TIMING_CSV_HEADER, parse)
+def read_timing_columns(
+    path: str | Path,
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """The face, landmark, blink and total duration columns of a timings CSV.
+
+    Same rules as ``read_timings_csv``, folded into one list per column.
+    """
+    face, landmark, blink, total = columns = ([], [], [], [])
+    for _, face_ms, landmark_ms, blink_ms, total_ms in iter_csv(
+        path, TIMING_CSV_HEADER, _parse_timing_row
+    ):
+        face.append(face_ms)
+        landmark.append(landmark_ms)
+        blink.append(blink_ms)
+        total.append(total_ms)
+    return columns

@@ -1,11 +1,15 @@
-"""Fixed-width text tables for benchmark reports, and the one CSV reader and writer."""
+"""Fixed-width text tables for benchmark reports, the one population
+standard deviation, and the one CSV row reader and writer."""
 
 from __future__ import annotations
 
 import csv
+import math
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 def mean_std_cell(mean: float, std: float) -> str:
@@ -48,27 +52,95 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence[objec
         writer.writerows(rows)
 
 
-def read_csv(path: str | Path, header: list[str], parse: Callable[..., object]) -> list:
+def iter_csv(path: str | Path, header: list[str], parse: Callable[..., object]) -> Iterator:
     """One ``parse(*fields)`` record per row, for every CSV format of the package.
 
     The first row must equal ``header``, blank lines are skipped and every
     other row must have one field per column.  A foreign header raises
     ``ValueError``; so does a bad row, or any ``ValueError`` from
-    ``parse``, as ``"PATH line N: ..."``.
+    ``parse``, as ``"PATH line N: ..."``.  Rows are read as the caller
+    asks for them, so a caller can fold them into what it needs.
     """
-    records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first != header:
             raise ValueError(f"unexpected header {first} in {path}")
+        width = len(header)
         try:
             for fields in reader:
                 if not fields:
                     continue
-                if len(fields) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
-                records.append(parse(*fields))
+                if len(fields) != width:
+                    raise ValueError(f"expected {width} fields, got {len(fields)}")
+                yield parse(*fields)
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-    return records
+
+
+# a ratio scaled to at least 2**108 has a root of at least 55 bits: a double's
+# 53, plus the two that rounding to odd needs for one correct final rounding
+_ROOT_RATIO_BITS = 2 * 53 + 3
+
+
+def _sqrt_of_ratio(n: int, m: int) -> float:
+    """``sqrt(n / m)`` correctly rounded to a float, for integers n >= 0, m > 0.
+
+    The ratio is scaled by ``4**-q`` so that its integer root has at least
+    55 bits; that root is rounded to odd (its last bit set when it is
+    inexact), which makes the one rounding of the final division correct.
+    """
+    q = (n.bit_length() - m.bit_length() - _ROOT_RATIO_BITS) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
+def _times_power_of_two(values: Sequence[float], shift: int, all_floats: bool) -> list[int]:
+    """Each value times ``2**shift`` as an exact integer.
+
+    ``shift`` must clear every float's fraction bits.  ``ldexp`` does it
+    in one pass for floats whose scaled value stays a float; ints, which
+    ``ldexp`` would round above ``2**53``, and a spread too wide for the
+    float range take the exact ratio of each value.
+    """
+    if not shift:  # ints, and floats too large to have fraction bits
+        return list(map(int, values))
+    if all_floats:
+        try:
+            return list(map(int, map(math.ldexp, values, repeat(shift))))
+        except OverflowError:
+            pass
+    scaled = []
+    for value in values:
+        numerator, denominator = value.as_integer_ratio()
+        scaled.append(numerator << (shift - denominator.bit_length() + 1))
+    return scaled
+
+
+def pstdev(values: Sequence[float]) -> float:
+    """Population standard deviation of ints and finite floats, correctly rounded.
+
+    Equal to ``statistics.pstdev`` on the same values.  Every value is
+    scaled by one power of two to an exact integer (``frexp`` of the
+    smallest non-zero float magnitude fixes the power), so the variance
+    is an exact ratio of integer sums and only its square root rounds.
+    """
+    n = len(values)
+    if not n:
+        raise ValueError("pstdev needs at least one value")
+    all_floats = set(map(type, values)) == {float}
+    floats = values if all_floats else [v for v in values if isinstance(v, float)]
+    smallest = min(map(abs, floats), default=0.0)
+    if not smallest:
+        smallest = min((abs(v) for v in floats if v), default=0.0)
+    # a float of exponent e >= that of the smallest is a multiple of 2**(e - 53)
+    shift = max(0, 53 - math.frexp(smallest)[1]) if smallest else 0
+    scaled = _times_power_of_two(values, shift, all_floats)
+    total = sum(scaled)
+    squares = sum(map(operator.mul, scaled, scaled))
+    return _sqrt_of_ratio(n * squares - total * total, n * n << 2 * shift)

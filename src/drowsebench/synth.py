@@ -71,8 +71,8 @@ class BlinkScript:
             raise ValueError(f"fps must be positive and finite, got {self.fps}")
         if self.total_frames < 1:
             raise ValueError(f"total_frames must be >= 1, got {self.total_frames}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be non-negative, got {self.noise_std}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be non-negative and finite, got {self.noise_std}")
         prev = None
         for blink in self.blinks:
             if prev is not None and blink.onset_frame <= prev.end_frame:
@@ -193,6 +193,9 @@ class ScoreDatasetSpec:
             raise ValueError("class counts must be non-negative")
         if self.n_alert + self.n_drowsy == 0:
             raise ValueError("dataset must hold at least one sequence")
+        moments = (self.alert_mean, self.alert_std, self.drowsy_mean, self.drowsy_std)
+        if not all(map(math.isfinite, moments)):
+            raise ValueError(f"class means and stds must be finite, got {moments}")
         if self.alert_std < 0 or self.drowsy_std < 0:
             raise ValueError("stds must be non-negative")
 

@@ -46,7 +46,7 @@ from .protocol import (  # noqa: F401 - perfbench wraps read_frame/write_frame h
     recv_message,
     write_frame,
 )
-from .report import read_csv, write_csv
+from .report import iter_csv, pstdev, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -96,7 +96,7 @@ def interval_stats(records: list[RoundTripRecord]) -> IntervalStats:
     return IntervalStats(
         count=len(gaps),
         mean_us=statistics.fmean(gaps),
-        std_us=statistics.pstdev(gaps),
+        std_us=pstdev(gaps),
         median_us=statistics.median(gaps),
         min_us=min(gaps),
         max_us=max(gaps),
@@ -356,10 +356,12 @@ def write_rtt_csv(records: list[RoundTripRecord], path: str | Path) -> None:
 
 
 def read_rtt_csv(path: str | Path) -> list[RoundTripRecord]:
-    return read_csv(
-        path,
-        RTT_CSV_HEADER,
-        lambda frame_id, send, recv, rtt, gap: RoundTripRecord(
-            int(frame_id), int(send), int(recv), int(rtt), int(gap) if gap else None
-        ),
+    return list(
+        iter_csv(
+            path,
+            RTT_CSV_HEADER,
+            lambda frame_id, send, recv, rtt, gap: RoundTripRecord(
+                int(frame_id), int(send), int(recv), int(rtt), int(gap) if gap else None
+            ),
+        )
     )

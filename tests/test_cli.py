@@ -346,6 +346,24 @@ class TestGen:
                      "--out", str(path)]) == 1
         assert main(["gen", "ear", "--blinks", "-1", "--out", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "flag, spec", [("--alert", "5,nan,1"), ("--alert", "5,2,inf"), ("--drowsy", "5,-inf,1")]
+    )
+    def test_non_finite_class_spec_is_a_usage_error(self, flag, spec, tmp_path, capsys):
+        path = tmp_path / "scores.csv"
+        specs = {"--alert": "5,2,1", "--drowsy": "5,8,1", flag: spec}
+        argv = ["gen", "scores", *(item for pair in specs.items() for item in pair)]
+        assert main([*argv, "--out", str(path)]) == 1
+        assert f"usage error: {flag} expects a finite MEAN and STD" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_a_usage_error(self, noise, tmp_path, capsys):
+        path = tmp_path / "ear.csv"
+        assert main(["gen", "ear", "--blinks", "2", "--noise", noise, "--out", str(path)]) == 1
+        assert f"usage error: --noise must be >= 0 and finite, got {noise}" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestOptimize:
     def test_skewed_fixture_table(self, tmp_path, capsys):
@@ -391,8 +409,7 @@ class TestOptimize:
         write_skewed_scores(scores)
         assert main(["optimize", "--scores", str(scores), "--scores", str(scores),
                      "--curve-out", str(tmp_path / "curve")]) == 0
-        # each curve also checks that its thresholds are sorted
-        assert len([s for s in sorts if s != decision.threshold_grid()]) == 2 * 2
+        assert len(sorts) == 2 * 2
 
     def test_single_class_is_degenerate(self, tmp_path, capsys):
         path = tmp_path / "alert-only.csv"

@@ -18,6 +18,7 @@ from drowsebench.decision import (
     optimize_threshold,
     percent_change,
     read_model_stats_json,
+    read_score_tally,
     read_scores_csv,
     sweep,
     threshold_grid,
@@ -27,6 +28,7 @@ from drowsebench.decision import (
     write_model_stats_json,
     write_scores_csv,
 )
+from drowsebench.synth import ScoreDatasetSpec, gen_score_dataset
 
 
 def dataset(*groups):
@@ -338,6 +340,47 @@ class TestSerialization:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_scores_csv(path)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_folded_tally_equals_tally_of_read_rows(self, seed, tmp_path):
+        path = tmp_path / "scores.csv"
+        spec = ScoreDatasetSpec(
+            n_alert=300, n_drowsy=200, alert_mean=4.0, alert_std=3.0,
+            drowsy_mean=6.0, drowsy_std=3.0, seed=seed,
+        )
+        write_scores_csv(gen_score_dataset(spec), path)
+        # a blank line, signed zeros, and labels in other forms that int() reads
+        with open(path, "a") as fh:
+            fh.write("\n900,0.0,00\n901,10,+10\n902,-0.0, 0\n903,3.5,1_0\n")
+        tally = read_score_tally(path)
+        assert tally == ScoreTally.of(read_scores_csv(path))
+        assert len(tally.drowsy) + len(tally.alert) == 504
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("x,5.0,0", "invalid literal for int() with base 10: 'x'"),
+            ("x,abc,7", "invalid literal for int() with base 10: 'x'"),
+            ("1,abc,0", "could not convert string to float: 'abc'"),
+            ("1,abc,7", "could not convert string to float: 'abc'"),
+            ("1,5.0,5", "5 is not a valid Label"),
+            ("1,5.0,y", "invalid literal for int() with base 10: 'y'"),
+            ("1,11.0,7", "7 is not a valid Label"),
+            ("1,11.0,0", "score must be within [0, 10], got 11.0"),
+            ("1,nan,10", "score must be within [0, 10], got nan"),
+            ("1,5.0", "expected 3 fields, got 2"),
+        ],
+    )
+    def test_bad_row_reads_the_same_through_both_readers(self, row, reason, tmp_path):
+        # errors take the order id, score, label, score range
+        path = tmp_path / "scores.csv"
+        path.write_text(f"id,score,label\n0,2.0,0\n{row}\n3,8.0,10\n")
+        messages = []
+        for read in (read_scores_csv, read_score_tally):
+            with pytest.raises(ValueError) as info:
+                read(path)
+            messages.append(str(info.value))
+        assert messages == [f"{path} line 3: {reason}"] * 2
 
     def test_curve_csv(self, tmp_path):
         path = tmp_path / "curve.csv"

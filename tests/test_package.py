@@ -42,6 +42,36 @@ def test_modules_import_no_private_name_from_a_sibling():
     assert private == []
 
 
+def test_modules_read_no_private_name_of_the_standard_library():
+    # a private helper such as statistics._float_sqrt_of_frac can change or
+    # vanish in any Python release
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    found = []
+    for path in sorted(Path(drowsebench.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stdlib = set()  # names bound to a standard-library module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.partition(".")[0] in sys.stdlib_module_names:
+                        stdlib.add(alias.asname or alias.name.partition(".")[0])
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module.partition(".")[0] in sys.stdlib_module_names:
+                    found += [f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+                              for alias in node.names if private(alias.name)]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or not private(node.attr):
+                continue
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in stdlib:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+
+
 def test_readme_library_imports_run():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     library = readme.split("\n## Library\n", 1)[1]

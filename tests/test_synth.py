@@ -70,6 +70,11 @@ class TestBlinkScript:
         with pytest.raises(ValueError, match="^fps must be positive and finite, got"):
             BlinkScript(blinks=(), fps=fps, total_frames=10)
 
+    @pytest.mark.parametrize("noise_std", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_noise(self, noise_std):
+        with pytest.raises(ValueError, match="^noise_std must be non-negative and finite, got"):
+            BlinkScript(blinks=(), fps=30, total_frames=10, noise_std=noise_std)
+
 
 class TestGenEarSeries:
     def test_blink_free_script_is_flat(self):
@@ -185,6 +190,12 @@ class TestScoreDataset:
             ScoreDatasetSpec(n_alert=0, n_drowsy=0)
         with pytest.raises(ValueError):
             ScoreDatasetSpec(n_alert=1, n_drowsy=1, alert_std=-1.0)
+
+    @pytest.mark.parametrize("field", ["alert_mean", "alert_std", "drowsy_mean", "drowsy_std"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_spec_rejects_non_finite_moments(self, field, value):
+        with pytest.raises(ValueError, match="^class means and stds must be finite"):
+            ScoreDatasetSpec(n_alert=1, n_drowsy=1, **{field: value})
 
     def test_separable_classes_optimize_cleanly(self):
         spec = ScoreDatasetSpec(
