@@ -40,7 +40,7 @@ from .decision import (
     optimize_threshold,
     read_model_stats_json,
     read_score_tally,
-    read_scores_csv,  # noqa: F401 - perfbench wraps it here
+    read_scores_csv,  # noqa: F401 - unused; kept only so perfbench's wrapper of it does not raise
     sweep,
     threshold_grid,
     vote,
@@ -53,7 +53,7 @@ from .pipeline import (
     average_stage_set,
     load_stage_sets,
     queue_stability,
-    read_timing_columns,
+    read_timings_csv,
     simulate_session,
     stat_pair,
     summarize_timings,
@@ -465,20 +465,19 @@ def cmd_report(args) -> int:
     header = first.split(",")
 
     if header == TIMING_CSV_HEADER:
-        columns = read_timing_columns(args.infile)
-        frames = len(columns[0])
-        if not frames:
+        rows = read_timings_csv(args.infile)
+        if not rows:
             raise DegenerateDataError(f"{args.infile} holds no timing rows")
         table = ReportTable(
-            title=f"timing summary of {args.infile} ({frames} frames)",
+            title=f"timing summary of {args.infile} ({len(rows)} frames)",
             headers=["stage", "duration ms"],
         )
         stats = []
-        for stage, column in zip(TIMING_STAGES, columns):
-            stat = stat_pair(column)
+        for stage in TIMING_STAGES:
+            stat = stat_pair([row[f"{stage}_ms"] for row in rows])
             table.add_row(stage, mean_std_cell(stat.mean_ms, stat.std_ms))
             stats.append(stat)
-        _emit(args, table, {"frames": frames, "stages": _stages_json(stats)})
+        _emit(args, table, {"frames": len(rows), "stages": _stages_json(stats)})
         return 0
 
     if header == RTT_CSV_HEADER:

@@ -94,13 +94,21 @@ class ScoreTally:
     alert: tuple[float, ...]
 
     @classmethod
+    def sorting(
+        cls, drowsy: Iterable[float], alert: Iterable[float], source: object = "dataset"
+    ) -> "ScoreTally":
+        """Sort each class's scores once; a ``source`` with no scores is degenerate."""
+        tally = cls(drowsy=tuple(sorted(drowsy)), alert=tuple(sorted(alert)))
+        if not tally.drowsy and not tally.alert:
+            raise DegenerateDataError(f"{source} holds no scored sequences")
+        return tally
+
+    @classmethod
     def of(cls, sequences: Sequence[ScoredSequence]) -> "ScoreTally":
         """Sort a dataset's drowsy and alert scores; an empty dataset is degenerate."""
-        if not sequences:
-            raise DegenerateDataError("empty dataset")
-        return cls(
-            drowsy=tuple(sorted(seq.score for seq in sequences if seq.label is Label.DROWSY)),
-            alert=tuple(sorted(seq.score for seq in sequences if seq.label is not Label.DROWSY)),
+        return cls.sorting(
+            (seq.score for seq in sequences if seq.label is Label.DROWSY),
+            (seq.score for seq in sequences if seq.label is not Label.DROWSY),
         )
 
     def at(self, threshold: float) -> ConfusionMatrix:
@@ -362,9 +370,7 @@ def read_score_tally(path: str | Path) -> ScoreTally:
     alert: list[float] = []
     for _, score, label in iter_csv(path, SCORES_CSV_HEADER, _parse_score_row):
         (drowsy if label is Label.DROWSY else alert).append(score)
-    if not drowsy and not alert:
-        raise DegenerateDataError(f"{path} holds no scored sequences")
-    return ScoreTally(drowsy=tuple(sorted(drowsy)), alert=tuple(sorted(alert)))
+    return ScoreTally.sorting(drowsy, alert, path)
 
 
 def write_curve_csv(curve: ThresholdCurve, path: str | Path) -> None:

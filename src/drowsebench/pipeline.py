@@ -14,9 +14,8 @@ measured, so a multi-minute session simulates in milliseconds and is
 exactly reproducible from its seed.
 
 Timing summaries are the mean and the population standard deviation
-(``report.pstdev``, correctly rounded and equal to ``statistics.pstdev``).
-The ``report`` command folds a timing CSV into one column per stage
-(``read_timing_columns``) instead of one dict per row.
+(``report.pstdev``, correctly rounded; on Python 3.11+ it equals
+``statistics.pstdev``).
 """
 
 from __future__ import annotations
@@ -390,38 +389,15 @@ def write_timings_csv(records: Iterable[TimingRecord], path: str | Path) -> None
     )
 
 
-def _parse_timing_row(frame_id: str, *durations: str) -> list:
-    """One timings CSV row: the frame id, then each duration, which must be finite."""
-    row: list = [int(frame_id)]
-    for name, text in zip(TIMING_CSV_HEADER[1:], durations):
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-        row.append(value)
-    return row
-
-
 def read_timings_csv(path: str | Path) -> list[dict[str, float]]:
     """Per-frame stage durations of a CSV file; every duration must be finite."""
-    return [
-        dict(zip(TIMING_CSV_HEADER, row))
-        for row in iter_csv(path, TIMING_CSV_HEADER, _parse_timing_row)
-    ]
 
+    def parse(frame_id: str, *durations: str) -> dict[str, float]:
+        row = {"frame_id": int(frame_id)}
+        for name, text in zip(TIMING_CSV_HEADER[1:], durations):
+            row[name] = float(text)
+            if not math.isfinite(row[name]):
+                raise ValueError(f"{name} must be finite, got {row[name]}")
+        return row
 
-def read_timing_columns(
-    path: str | Path,
-) -> tuple[list[float], list[float], list[float], list[float]]:
-    """The face, landmark, blink and total duration columns of a timings CSV.
-
-    Same rules as ``read_timings_csv``, folded into one list per column.
-    """
-    face, landmark, blink, total = columns = ([], [], [], [])
-    for _, face_ms, landmark_ms, blink_ms, total_ms in iter_csv(
-        path, TIMING_CSV_HEADER, _parse_timing_row
-    ):
-        face.append(face_ms)
-        landmark.append(landmark_ms)
-        blink.append(blink_ms)
-        total.append(total_ms)
-    return columns
+    return list(iter_csv(path, TIMING_CSV_HEADER, parse))

@@ -125,7 +125,7 @@ def _times_power_of_two(values: Sequence[float], shift: int, all_floats: bool) -
 def pstdev(values: Sequence[float]) -> float:
     """Population standard deviation of ints and finite floats, correctly rounded.
 
-    Equal to ``statistics.pstdev`` on the same values.  Every value is
+    Equal to ``statistics.pstdev`` on Python 3.11+.  Every value is
     scaled by one power of two to an exact integer (``frexp`` of the
     smallest non-zero float magnitude fixes the power), so the variance
     is an exact ratio of integer sums and only its square root rounds.

@@ -1,11 +1,15 @@
+import math
 import statistics
+import sys
+from fractions import Fraction
 
 import pytest
 
 from drowsebench.report import pstdev
 
 
-def test_pstdev_equals_statistics_pstdev():
+def _check_pstdev(oracle):
+    """Run ``oracle(values)`` over lists that cover the whole finite range."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     # every finite float: subnormals, zeros of both signs, negatives, up to the largest
@@ -33,9 +37,31 @@ def test_pstdev_equals_statistics_pstdev():
     def check(values):
         got = pstdev(values)
         assert type(got) is float
-        assert got == statistics.pstdev(values)
+        oracle(values, got)
 
     check()
+
+
+# before 3.11, statistics.pstdev rounds twice (a float variance, then its root)
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.pstdev rounds twice")
+def test_pstdev_equals_statistics_pstdev():
+    def oracle(values, got):
+        assert got == statistics.pstdev(values)
+
+    _check_pstdev(oracle)
+
+
+def test_pstdev_is_correctly_rounded():
+    def oracle(values, got):
+        exact = [Fraction(v) for v in values]
+        mean = sum(exact) / len(exact)
+        variance = sum((x - mean) ** 2 for x in exact) / len(exact)
+        # the exact root lies within half a gap of got on either side
+        low = (Fraction(got) + Fraction(math.nextafter(got, 0.0))) / 2
+        high = Fraction(got) + Fraction(math.ulp(got)) / 2
+        assert low * low <= variance <= high * high
+
+    _check_pstdev(oracle)
 
 
 def test_pstdev_keeps_ints_exact():
