@@ -61,8 +61,10 @@ class BlinkDetectionConfig:
     min_closed_frames: int = 2
 
     def __post_init__(self):
-        if self.close_threshold <= 0:
-            raise ValueError(f"close_threshold must be positive, got {self.close_threshold}")
+        if not 0 < self.close_threshold < math.inf:
+            raise ValueError(
+                f"close_threshold must be positive and finite, got {self.close_threshold}"
+            )
         if self.min_closed_frames < 1:
             raise ValueError(f"min_closed_frames must be >= 1, got {self.min_closed_frames}")
 

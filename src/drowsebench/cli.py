@@ -229,7 +229,7 @@ def cmd_stream_bench(args) -> int:
             )
             summary = _round_trip_json(records)
             gaps, rtt = summary["inter_arrival_us"], summary["rtt_us"]
-            bandwidth = raw_bandwidth(width, height, 24, round(args.fps))
+            bandwidth = raw_bandwidth(width, height, 24, args.fps)
             table.add_row(
                 f"{width}x{height}",
                 len(records),
@@ -304,15 +304,15 @@ def cmd_pipeline_bench(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    series = read_ear_csv(args.infile)
-    if not series:
-        raise DegenerateDataError(f"{args.infile} holds no EAR samples")
     try:
         config = BlinkDetectionConfig(
             close_threshold=args.close_threshold, min_closed_frames=args.min_closed_frames
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    series = read_ear_csv(args.infile)
+    if not series:
+        raise DegenerateDataError(f"{args.infile} holds no EAR samples")
 
     blinks = detect_blinks(series, config)
     features = extract_all_features(blinks, series, args.fps)

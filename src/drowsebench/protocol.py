@@ -26,6 +26,8 @@ the socket wrappers ``read_frame``/``write_frame``), the module exposes
 what a hot path needs to work on wire bytes in place: ``recv_message``
 reads one checked message into a reused buffer, and ``MSG_IDS`` and
 ``ECHO_TRAILER`` pack and unpack the fields that change per message.
+``decode_frame`` and ``recv_message`` check a header with one function,
+so both readers reject a bad header with the same error.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ MSG_IDS = struct.Struct("<BQQ")  # msg_type, frame_id, capture_ts_us
 MSG_IDS_OFFSET = len(MAGIC)
 ECHO_TRAILER = struct.Struct("<QQ")  # server_recv_ts_us, server_send_ts_us
 ECHO_TRAILER_SIZE = ECHO_TRAILER.size
-
-_U64_MAX = 2**64 - 1
-_U32_MAX = 2**32 - 1
-_U16_MAX = 2**16 - 1
 
 
 class MessageType(IntEnum):
@@ -92,13 +90,14 @@ def expected_payload_len(pixel_format: PixelFormat, width: int, height: int) -> 
     return 0
 
 
-def _check_magic(data) -> None:
+def _check_header(data, expect: MessageType | None = None) -> tuple:
+    """The fields of the header at the front of ``data``, and the whole message's length.
+
+    Checks, in this order: the magic, the msg_type, the pixel format,
+    ``expect`` when given, and a payload_len that matches the dimensions.
+    """
     if data[: len(MAGIC)] != MAGIC:
         raise BadMagicError(f"bad magic {bytes(data[:len(MAGIC)])!r}")
-
-
-def _unpack_header(data) -> tuple[MessageType, int, int, int, int, PixelFormat, int]:
-    """The header fields after the magic, with the msg_type and pixel_format bytes checked."""
     raw_type, frame_id, capture_ts, width, height, raw_pf, payload_len = _HEADER.unpack_from(
         data, len(MAGIC)
     )
@@ -110,7 +109,15 @@ def _unpack_header(data) -> tuple[MessageType, int, int, int, int, PixelFormat, 
         pixel_format = PixelFormat(raw_pf)
     except ValueError:
         raise UnknownPixelFormatError(f"unknown pixel_format byte 0x{raw_pf:02x}") from None
-    return msg_type, frame_id, capture_ts, width, height, pixel_format, payload_len
+    if expect is not None and msg_type is not expect:
+        raise CodecError(f"{msg_type.name} message where {expect.name} was expected")
+    expected = expected_payload_len(pixel_format, width, height)
+    if payload_len != expected:
+        raise PayloadSizeError(f"header declares {payload_len} payload bytes, expected {expected}")
+    n = HEADER_SIZE + payload_len
+    if msg_type is MessageType.ECHO:
+        n += ECHO_TRAILER_SIZE
+    return msg_type, frame_id, capture_ts, width, height, pixel_format, payload_len, n
 
 
 @dataclass(frozen=True)
@@ -127,103 +134,58 @@ class FrameMessage:
     server_recv_ts_us: int | None = None
     server_send_ts_us: int | None = None
 
-    def validate(self) -> None:
-        if self.msg_type not in (MessageType.FRAME, MessageType.ECHO):
-            raise UnknownMessageTypeError(f"unknown msg_type {self.msg_type!r}")
-        if self.pixel_format not in (PixelFormat.RGB24, PixelFormat.EMPTY):
-            raise UnknownPixelFormatError(f"unknown pixel_format {self.pixel_format!r}")
-        if not 0 <= self.frame_id <= _U64_MAX:
-            raise CodecError(f"frame_id {self.frame_id} out of u64 range")
-        if not 0 <= self.capture_ts_us <= _U64_MAX:
-            raise CodecError(f"capture_ts_us {self.capture_ts_us} out of u64 range")
-        if not 0 <= self.width <= _U16_MAX or not 0 <= self.height <= _U16_MAX:
-            raise CodecError(f"dimensions {self.width}x{self.height} out of u16 range")
-        if len(self.payload) > _U32_MAX:
-            raise PayloadSizeError("payload exceeds u32 length field")
-        expected = expected_payload_len(self.pixel_format, self.width, self.height)
-        if len(self.payload) != expected:
-            raise PayloadSizeError(
-                f"{self.pixel_format.name} {self.width}x{self.height} payload must be "
-                f"{expected} bytes, got {len(self.payload)}"
-            )
-        if self.msg_type is MessageType.ECHO:
-            if self.server_recv_ts_us is None or self.server_send_ts_us is None:
-                raise CodecError("echo message requires server timestamps")
-            if not 0 <= self.server_recv_ts_us <= _U64_MAX:
-                raise CodecError("server_recv_ts_us out of u64 range")
-            if not 0 <= self.server_send_ts_us <= _U64_MAX:
-                raise CodecError("server_send_ts_us out of u64 range")
-            if self.server_recv_ts_us > self.server_send_ts_us:
-                raise CodecError("server_recv_ts_us must not exceed server_send_ts_us")
-        elif self.server_recv_ts_us is not None or self.server_send_ts_us is not None:
-            raise CodecError("frame message must not carry server timestamps")
-
 
 def encode_frame(msg: FrameMessage) -> bytes:
-    """Serialize a message to wire bytes, validating its invariants."""
-    msg.validate()
-    parts = [
-        MAGIC,
-        _HEADER.pack(
-            msg.msg_type,
-            msg.frame_id,
-            msg.capture_ts_us,
-            msg.width,
-            msg.height,
-            msg.pixel_format,
-            len(msg.payload),
-        ),
-        msg.payload,
-    ]
-    if msg.msg_type is MessageType.ECHO:
-        parts.append(ECHO_TRAILER.pack(msg.server_recv_ts_us, msg.server_send_ts_us))
-    return b"".join(parts)
+    """Serialize a message to wire bytes; ``CodecError`` if it is not a valid message."""
+    if msg.msg_type not in (MessageType.FRAME, MessageType.ECHO):
+        raise UnknownMessageTypeError(f"unknown msg_type {msg.msg_type!r}")
+    if msg.pixel_format not in (PixelFormat.RGB24, PixelFormat.EMPTY):
+        raise UnknownPixelFormatError(f"unknown pixel_format {msg.pixel_format!r}")
+    expected = expected_payload_len(msg.pixel_format, msg.width, msg.height)
+    if len(msg.payload) != expected:
+        raise PayloadSizeError(f"{msg.pixel_format.name} {msg.width}x{msg.height} payload "
+                               f"must be {expected} bytes, got {len(msg.payload)}")
+    timestamps = (msg.server_recv_ts_us, msg.server_send_ts_us)
+    if msg.msg_type is not MessageType.ECHO:
+        if timestamps != (None, None):
+            raise CodecError("frame message must not carry server timestamps")
+    elif None in timestamps:
+        raise CodecError("echo message requires server timestamps")
+    elif msg.server_recv_ts_us > msg.server_send_ts_us:
+        raise CodecError("server_recv_ts_us must not exceed server_send_ts_us")
+    try:
+        header = _HEADER.pack(msg.msg_type, msg.frame_id, msg.capture_ts_us, msg.width,
+                              msg.height, msg.pixel_format, len(msg.payload))
+        trailer = ECHO_TRAILER.pack(*timestamps) if msg.msg_type is MessageType.ECHO else b""
+    except struct.error as exc:
+        raise CodecError(f"field out of range of its wire type: {exc}") from None
+    return b"".join((MAGIC, header, msg.payload, trailer))
 
 
 def decode_frame(data: bytes) -> FrameMessage:
     """Parse one complete message from ``data``.
 
     The buffer must contain exactly one message; trailing bytes are
-    rejected.  Distinct errors are raised for a bad magic, a truncated
-    buffer, and unknown msg_type / pixel_format bytes.
+    rejected.  The header gets the checks ``recv_message`` gives it.
     """
-    if len(data) < len(MAGIC):
-        raise TruncatedError(f"buffer of {len(data)} bytes is shorter than the magic")
-    _check_magic(data)
     if len(data) < HEADER_SIZE:
+        if len(data) >= len(MAGIC) and data[: len(MAGIC)] != MAGIC:
+            raise BadMagicError(f"bad magic {bytes(data[:len(MAGIC)])!r}")
         raise TruncatedError(f"buffer of {len(data)} bytes is shorter than the header")
-    msg_type, frame_id, capture_ts, width, height, pixel_format, payload_len = _unpack_header(data)
-
-    offset = HEADER_SIZE
-    if len(data) < offset + payload_len:
-        raise TruncatedError(
-            f"header declares {payload_len} payload bytes, only {len(data) - offset} present"
-        )
-    payload = bytes(data[offset : offset + payload_len])
-    offset += payload_len
-
+    header = _check_header(data)
+    msg_type, frame_id, capture_ts, width, height, pixel_format, payload_len, n = header
+    if len(data) < n:
+        raise TruncatedError(f"{msg_type.name} message of {n} bytes, only {len(data)} present")
+    if len(data) > n:
+        raise CodecError(f"{len(data) - n} trailing bytes after message")
     server_recv = server_send = None
     if msg_type is MessageType.ECHO:
-        if len(data) < offset + ECHO_TRAILER_SIZE:
-            raise TruncatedError("echo message is missing its server timestamps")
-        server_recv, server_send = ECHO_TRAILER.unpack_from(data, offset)
-        offset += ECHO_TRAILER_SIZE
-    if len(data) != offset:
-        raise CodecError(f"{len(data) - offset} trailing bytes after message")
-
-    msg = FrameMessage(
-        msg_type=msg_type,
-        frame_id=frame_id,
-        capture_ts_us=capture_ts,
-        width=width,
-        height=height,
-        pixel_format=pixel_format,
-        payload=payload,
-        server_recv_ts_us=server_recv,
-        server_send_ts_us=server_send,
-    )
-    msg.validate()
-    return msg
+        server_recv, server_send = ECHO_TRAILER.unpack_from(data, n - ECHO_TRAILER_SIZE)
+        if server_recv > server_send:
+            raise CodecError("server_recv_ts_us must not exceed server_send_ts_us")
+    payload = bytes(data[HEADER_SIZE : HEADER_SIZE + payload_len])
+    return FrameMessage(msg_type, frame_id, capture_ts, width, height, pixel_format,
+                        payload, server_recv, server_send)
 
 
 def _recv_exact(sock: socket.socket, buf: bytearray, start: int, stop: int) -> bool:
@@ -256,22 +218,12 @@ def recv_message(
     ``buf`` is meant to be reused for every message of a connection: it
     only grows, and keeps room for an echo trailer after the message, so
     a relay can append one in place.  The header is checked before the
-    body is read: the magic, the msg_type (which must be ``expect`` when
-    that is given), the pixel format, and a payload_len that matches the
-    dimensions.
+    body is read, and a message whose type is not ``expect``, when that
+    is given, is rejected.
     """
     if not _recv_exact(sock, buf, 0, HEADER_SIZE):
         return 0
-    _check_magic(buf)
-    msg_type, _, _, width, height, pixel_format, payload_len = _unpack_header(buf)
-    if expect is not None and msg_type is not expect:
-        raise CodecError(f"{msg_type.name} message where {expect.name} was expected")
-    expected = expected_payload_len(pixel_format, width, height)
-    if payload_len != expected:
-        raise PayloadSizeError(f"header declares {payload_len} payload bytes, expected {expected}")
-    n = HEADER_SIZE + payload_len
-    if msg_type is MessageType.ECHO:
-        n += ECHO_TRAILER_SIZE
+    n = _check_header(buf, expect)[-1]
     _recv_exact(sock, buf, HEADER_SIZE, n)
     if len(buf) < n + ECHO_TRAILER_SIZE:
         buf.extend(bytes(n + ECHO_TRAILER_SIZE - len(buf)))

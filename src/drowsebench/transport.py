@@ -103,18 +103,20 @@ def interval_stats(records: list[RoundTripRecord]) -> IntervalStats:
     )
 
 
-def raw_bandwidth(width: int, height: int, bits_per_pixel: int, fps: int) -> int:
-    """Uncompressed bit rate of a video stream, as an exact product.
+def raw_bandwidth(width: int, height: int, bits_per_pixel: int, fps: float) -> int:
+    """Uncompressed bit rate of a video stream, in whole bit/s.
 
     1280x720 at 24 bpp and 30 fps is exactly 663_552_000 bit/s.  Figures
     around 632 Mbit/s are sometimes quoted for that configuration; they
-    do not match the product and are not reproduced here.
+    do not match the product and are not reproduced here.  A fractional
+    fps gives the product rounded to the nearest bit/s: 29.97 fps gives
+    662_888_448.
     """
     for name, value in (("width", width), ("height", height),
                         ("bits_per_pixel", bits_per_pixel), ("fps", fps)):
-        if value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-    return width * height * bits_per_pixel * fps
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    return round(width * height * bits_per_pixel * fps)
 
 
 class EchoServer:
@@ -207,10 +209,12 @@ class EchoServer:
 def run_echo_server(host: str, port: int) -> None:
     """Serve echoes on (host, port) until interrupted."""
     server = EchoServer(host, port)
-    bound = server.address
-    print(f"echo server listening on {bound[0]}:{bound[1]}")
-    server.start()
     try:
+        server.start()
+        bound = server.address
+        # flushed, so a parent reading a pipe learns the port; a SIGINT
+        # as soon as the port is known still stops the server cleanly
+        print(f"echo server listening on {bound[0]}:{bound[1]}", flush=True)
         threading.Event().wait()
     except KeyboardInterrupt:
         pass

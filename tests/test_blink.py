@@ -90,6 +90,11 @@ class TestDetectBlinks:
         with pytest.raises(ValueError):
             BlinkDetectionConfig(min_closed_frames=0)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf])
+    def test_close_threshold_must_be_positive_and_finite(self, threshold):
+        with pytest.raises(ValueError, match="close_threshold must be positive and finite"):
+            BlinkDetectionConfig(close_threshold=threshold)
+
 
 # Oracle for the property test below: the straightforward per-blink
 # computation, which rebuilds the index and rescans every earlier apex.

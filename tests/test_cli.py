@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import select
+import signal
 import socket
 import subprocess
 import sys
@@ -71,6 +73,8 @@ class TestUsageErrors:
             ["pipeline-bench", "--profile", "x.json", "--fps", "nan"],
             ["optimize", "--scores", "x.csv", "--w-fn", "nan"],
             ["optimize", "--scores", "x.csv", "--w-fp", "inf"],
+            ["detect", "--in", "x.csv", "--close-threshold", "nan", "--min-closed-frames", "1"],
+            ["detect", "--in", "x.csv", "--close-threshold", "inf", "--min-closed-frames", "1"],
         ],
     )
     def test_exit_code_1(self, argv, capsys):
@@ -171,6 +175,13 @@ class TestStreamBench:
         assert entry["resolution"] == "16x12"
         assert entry["inter_arrival_us"]["count"] == 9
         assert entry["raw_bandwidth_bps"] == 921_600
+
+    def test_fractional_fps_bandwidth(self, capsys):
+        rc = main(["stream-bench", "--loopback", "--fps", "2.5", "--frames", "2",
+                   "--res", "8x8", "--json"])
+        assert rc == 0
+        entry = json.loads(capsys.readouterr().out)["resolutions"][0]
+        assert entry["raw_bandwidth_bps"] == 3840  # 8*8*24*2.5, not at round(2.5) == 2 fps
 
     def test_out_prefix_writes_csv(self, tmp_path, capsys):
         prefix = tmp_path / "rtt"
@@ -532,15 +543,52 @@ class TestReport:
         assert main(["report", "--in", str(path)]) == 3
 
 
-def test_module_entry_point():
-    # run the package under test, which pytest may have put on sys.path itself
+def package_env() -> dict:
+    """The environment for a child that runs the package under test.
+
+    pytest may have put the package on its own sys.path, so the child
+    gets it on PYTHONPATH.
+    """
     src = str(Path(drowsebench.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "drowsebench", "--help"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=package_env(),
     )
     assert proc.returncode == 0
     assert "usage" in proc.stdout
+
+
+def test_echo_server_announces_its_port_through_a_pipe():
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "drowsebench", "echo-server", "--listen", "127.0.0.1:0"],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+        # a shell that starts the tests in the background makes them ignore
+        # SIGINT, and children inherit that
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 5)
+        assert ready, "no listening line within 5 s"
+        line = proc.stdout.readline()
+        match = re.fullmatch(r"echo server listening on 127\.0\.0\.1:(\d+)\n", line)
+        assert match, line
+        with socket.create_connection(("127.0.0.1", int(match.group(1))), timeout=5):
+            pass
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=5) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -78,3 +79,25 @@ def test_readme_library_imports_run():
     block = re.search(r"```python\n(.*?)```", library, re.DOTALL)
     assert block and "from drowsebench import" in block.group(1)
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_names_the_benchmark_tracer_wraps_exist():
+    # perfbench/tracing.py patches these attributes by name; the benchmark
+    # fails at start-up if one is renamed or deleted
+    tracing = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(), filename=str(tracing))
+    targets = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "wrap" and isinstance(node.args[0], ast.Name)
+                and isinstance(node.args[1], ast.Constant)):
+            targets.append((node.args[0].id, node.args[1].value))
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "CLI_LIBRARY_CALLS"):
+            targets += [("cli", name) for name in ast.literal_eval(node.value)]
+    assert {"read_frame", "write_frame", "encode_frame", "decode_frame"} <= {
+        name for _, name in targets}
+    assert any(module == "cli" for module, _ in targets)
+    missing = [f"drowsebench.{module}.{name}" for module, name in targets
+               if not hasattr(importlib.import_module(f"drowsebench.{module}"), name)]
+    assert missing == []

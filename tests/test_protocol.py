@@ -147,8 +147,9 @@ class TestDecode:
     def test_payload_len_exceeds_buffer(self):
         import struct
 
+        # rejected at the header, as the socket reader rejects it
         header = struct.pack("<BQQHHBI", 0x01, 0, 0, 2, 1, 0x00, 100)
-        with pytest.raises(TruncatedError):
+        with pytest.raises(PayloadSizeError):
             decode_frame(MAGIC + header + b"\xaa" * 6)
 
     def test_echo_missing_trailer(self):
@@ -353,5 +354,40 @@ class TestFuzz:
                         pass
                 except CodecError:
                     pass
+
+        check()
+
+    def test_decode_rejects_a_header_as_the_socket_reader_does(self):
+        hypothesis, st, messages, _ = fuzz_strategies()
+        wires = messages.map(encode_frame)
+        # bytes that hold a complete header: arbitrary ones, arbitrary ones
+        # behind the magic, encoded messages cut or extended, and encoded
+        # messages with one header byte after the magic replaced
+        headers = st.one_of(
+            st.binary(min_size=HEADER_SIZE, max_size=200),
+            st.binary(min_size=HEADER_SIZE - len(MAGIC), max_size=200).map(MAGIC.__add__),
+            st.builds(lambda wire, n, tail: wire[:n] + tail,
+                      wires, st.integers(HEADER_SIZE, 300), st.binary(max_size=20)),
+            st.builds(lambda wire, i, byte: wire[:i] + bytes([byte]) + wire[i + 1 :],
+                      wires, st.integers(len(MAGIC), HEADER_SIZE - 1), st.integers(0, 255)),
+        )
+
+        @hypothesis.settings(max_examples=500, deadline=None)
+        @hypothesis.given(headers)
+        def check(data):
+            a, b = socket.socketpair()
+            with a, b:
+                b.settimeout(5)
+                a.sendall(data)
+                a.shutdown(socket.SHUT_WR)
+                try:
+                    recv_message(b, bytearray())
+                except CodecError as exc:
+                    expected = type(exc)
+                else:
+                    return
+            with pytest.raises(CodecError) as info:
+                decode_frame(data)
+            assert info.type is expected
 
         check()

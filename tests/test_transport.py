@@ -81,6 +81,11 @@ class TestRawBandwidth:
     def test_unit_product(self):
         assert raw_bandwidth(1, 1, 1, 1) == 1
 
+    def test_fractional_fps(self):
+        assert raw_bandwidth(1280, 720, 24, 29.97) == 662_888_448
+        # an int, so JSON output at an integral fps reads 663552000, not 663552000.0
+        assert repr(raw_bandwidth(1280, 720, 24, 30.0)) == "663552000"
+
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             raw_bandwidth(0, 720, 24, 30)
