@@ -271,7 +271,7 @@ def cmd_pipeline_bench(args) -> int:
     payload = {"fps": args.fps, "frames": args.frames, "seed": args.seed, "profiles": []}
     for index, (name, profiles) in enumerate(stage_sets.items()):
         trace = simulate_session(args.fps, duration_s, profiles, args.seed + index)
-        summary = summarize_timings(trace.records)
+        summary = summarize_timings(trace)
         stats = [summary.face, summary.landmark, summary.blink, summary.total]
         verdict = queue_stability(profiles, args.fps)
         if verdict.stable:

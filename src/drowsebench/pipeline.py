@@ -13,6 +13,14 @@ blink``, each stage time drawn from its profile.  Time is computed, not
 measured, so a multi-minute session simulates in milliseconds and is
 exactly reproducible from its seed.
 
+The simulator builds no per-frame object.  It draws every Gaussian
+stage time in one batch, with the Box-Muller pairs ``random.gauss``
+forms, so the draws equal sequential ``gauss`` calls; it runs the
+recursion over plain lists and keeps the four timestamp columns in the
+``SessionTrace``.  ``SessionTrace.records`` builds the per-frame
+``TimingRecord`` tuple on first access, and ``summarize_timings`` reads
+the columns of a trace directly.
+
 Timing summaries are the mean and the population standard deviation
 (``report.pstdev``, correctly rounded; on Python 3.11+ it equals
 ``statistics.pstdev``).
@@ -24,10 +32,13 @@ import json
 import math
 import random
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .report import iter_csv, pstdev, write_csv
 
@@ -170,12 +181,47 @@ def _stage_map(profiles: Iterable[StageProfile]) -> dict[StageName, StageProfile
     return by_name
 
 
-def make_sampler(profile: StageProfile, rng: random.Random) -> Callable[[], float]:
-    """Service-time sampler (milliseconds) for one stage profile."""
-    if profile.dist is Distribution.DETERMINISTIC:
-        return lambda: profile.mean_ms
-    a, b = clamped_normal_params(profile.mean_ms, profile.std_ms)
-    return lambda: max(0.0, rng.gauss(a, b))
+def _normal_draws(rng: random.Random, count: int) -> list[float]:
+    """``count`` standard normal draws, equal to as many ``rng.gauss(0.0, 1.0)`` calls.
+
+    Forms the Box-Muller pairs exactly as ``random.gauss`` does (cos
+    first, then sin) from ``2 * ceil(count / 2)`` ``rng.random()``
+    values.  ``rng`` must hold no pending ``gauss`` draw; a fresh
+    ``random.Random(seed)`` holds none.
+    """
+    rand = rng.random
+    cos, sin, log, sqrt, tau = math.cos, math.sin, math.log, math.sqrt, math.tau
+    draws: list[float] = []
+    extend = draws.extend
+    for _ in range((count + 1) // 2):
+        x2pi = rand() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - rand()))
+        extend((cos(x2pi) * g2rad, sin(x2pi) * g2rad))
+    del draws[count:]
+    return draws
+
+
+def _stage_columns(
+    profiles: list[StageProfile], n_frames: int, rng: random.Random
+) -> list[Iterable[float]]:
+    """Per-stage service times (microseconds) of ``n_frames`` frames.
+
+    Matches drawing ``max(0.0, rng.gauss(a, b))`` for each Gaussian stage
+    in turn, frame by frame; a deterministic stage draws nothing.
+    """
+    drawing = [p for p in profiles if p.dist is not Distribution.DETERMINISTIC]
+    draws = _normal_draws(rng, n_frames * len(drawing))
+    drawn = {}
+    for slot, profile in enumerate(drawing):
+        a, b = clamped_normal_params(profile.mean_ms, profile.std_ms)
+        # (v if v > 0.0 else 0.0) is max(0.0, v) without the call
+        drawn[profile.name] = [
+            (v if (v := a + x * b) > 0.0 else 0.0) * 1000.0 for x in draws[slot :: len(drawing)]
+        ]
+    return [
+        drawn[p.name] if p.name in drawn else repeat(p.mean_ms * 1000.0, n_frames)
+        for p in profiles
+    ]
 
 
 @dataclass(frozen=True)
@@ -198,17 +244,31 @@ class TimingSummary:
     total: StatPair
 
 
-def summarize_timings(records: Iterable[TimingRecord]) -> TimingSummary:
-    """Per-stage and total duration statistics."""
-    records = list(records)
-    if not records:
+def _durations_ms(begin: Iterable[float], end: Iterable[float]) -> list[float]:
+    return [(e - b) / 1000.0 for b, e in zip(begin, end)]
+
+
+def summarize_timings(timings: SessionTrace | Iterable[TimingRecord]) -> TimingSummary:
+    """Per-stage and total duration statistics of a trace or of timing records."""
+    if isinstance(timings, SessionTrace):
+        recv = timings.recv_ts_us
+        face = timings.face_done_ts_us
+        landmark = timings.landmark_done_ts_us
+        blink = timings.blink_done_ts_us
+    else:
+        records = list(timings)
+        recv = [r.recv_ts_us for r in records]
+        face = [r.face_done_ts_us for r in records]
+        landmark = [r.landmark_done_ts_us for r in records]
+        blink = [r.blink_done_ts_us for r in records]
+    if not recv:
         raise ValueError("no records to summarize")
     return TimingSummary(
-        count=len(records),
-        face=stat_pair([r.face_ms for r in records]),
-        landmark=stat_pair([r.landmark_ms for r in records]),
-        blink=stat_pair([r.blink_ms for r in records]),
-        total=stat_pair([r.total_ms for r in records]),
+        count=len(recv),
+        face=stat_pair(_durations_ms(recv, face)),
+        landmark=stat_pair(_durations_ms(face, landmark)),
+        blink=stat_pair(_durations_ms(landmark, blink)),
+        total=stat_pair(_durations_ms(recv, blink)),
     )
 
 
@@ -248,25 +308,44 @@ def queue_stability(profiles: Iterable[StageProfile], fps: float) -> StabilityVe
 class SessionTrace:
     """Outcome of a simulated fixed-rate session.
 
-    Records cover every arrived frame, including ones still queued when
+    Columns cover every arrived frame, including ones still queued when
     the session clock ran out; ``completed``/``backlog`` split them at
-    the session end.  ``queue_length_at_arrival[k]`` counts frames still
-    in the system (queued or in service) when frame k arrived.
+    the session end.  Entry k of each ``*_ts_us`` column is the matching
+    ``TimingRecord`` field of frame k, and ``records`` builds those
+    records on first access.  ``queue_length_at_arrival[k]`` counts
+    frames still in the system (queued or in service) when frame k
+    arrived.
     """
 
     fps: float
     duration_s: float
-    records: tuple[TimingRecord, ...]
+    recv_ts_us: tuple[float, ...]
+    face_done_ts_us: tuple[float, ...]
+    landmark_done_ts_us: tuple[float, ...]
+    blink_done_ts_us: tuple[float, ...]
     queue_length_at_arrival: tuple[int, ...]
+
+    @cached_property
+    def records(self) -> tuple[TimingRecord, ...]:
+        return tuple(
+            map(
+                TimingRecord,
+                range(self.arrived),
+                self.recv_ts_us,
+                self.face_done_ts_us,
+                self.landmark_done_ts_us,
+                self.blink_done_ts_us,
+            )
+        )
 
     @property
     def arrived(self) -> int:
-        return len(self.records)
+        return len(self.recv_ts_us)
 
     @property
     def completed(self) -> int:
-        end_us = self.duration_s * 1e6
-        return sum(1 for r in self.records if r.blink_done_ts_us <= end_us)
+        # FIFO service: completion times never decrease
+        return bisect_right(self.blink_done_ts_us, self.duration_s * 1e6)
 
     @property
     def backlog(self) -> int:
@@ -295,31 +374,41 @@ def simulate_session(
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be positive and finite, got {duration_s}")
     by_name = _stage_map(profiles)
-    rng = random.Random(seed)
-    face, landmark, blink = (make_sampler(by_name[name], rng) for name in STAGE_ORDER)
     n_frames = round(fps * duration_s)
+    face, landmark, blink = _stage_columns(
+        [by_name[name] for name in STAGE_ORDER], n_frames, random.Random(seed)
+    )
     period_us = 1e6 / fps
-    records: list[TimingRecord] = []
+    recv: list[float] = []
+    face_done: list[float] = []
+    landmark_done: list[float] = []
+    blink_done: list[float] = []
     queue_lengths: list[int] = []
     finished = 0  # frames whose service ended at or before the current arrival
     done_us = 0.0
-    for k in range(n_frames):
+    for k, face_us, landmark_us, blink_us in zip(range(n_frames), face, landmark, blink):
         arrival_us = k * period_us
-        while finished < k and records[finished].blink_done_ts_us <= arrival_us:
+        while finished < k and blink_done[finished] <= arrival_us:
             finished += 1
         queue_lengths.append(k - finished)
         # chain the stage timestamps: summing the three samples first would
         # round differently and change seeded traces
-        start_us = max(arrival_us, done_us)
-        face_us = start_us + face() * 1000.0
-        landmark_us = face_us + landmark() * 1000.0
-        done_us = landmark_us + blink() * 1000.0
-        records.append(TimingRecord(k, start_us, face_us, landmark_us, done_us))
+        start_us = done_us if done_us > arrival_us else arrival_us  # max(arrival_us, done_us)
+        face_end = start_us + face_us
+        landmark_end = face_end + landmark_us
+        done_us = landmark_end + blink_us
+        recv.append(start_us)
+        face_done.append(face_end)
+        landmark_done.append(landmark_end)
+        blink_done.append(done_us)
 
     return SessionTrace(
         fps=fps,
         duration_s=duration_s,
-        records=tuple(records),
+        recv_ts_us=tuple(recv),
+        face_done_ts_us=tuple(face_done),
+        landmark_done_ts_us=tuple(landmark_done),
+        blink_done_ts_us=tuple(blink_done),
         queue_length_at_arrival=tuple(queue_lengths),
     )
 

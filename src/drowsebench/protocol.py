@@ -85,7 +85,7 @@ class PayloadSizeError(CodecError):
 
 
 def expected_payload_len(pixel_format: PixelFormat, width: int, height: int) -> int:
-    if pixel_format is PixelFormat.RGB24:
+    if pixel_format == PixelFormat.RGB24:
         return width * height * 3
     return 0
 
@@ -136,17 +136,25 @@ class FrameMessage:
 
 
 def encode_frame(msg: FrameMessage) -> bytes:
-    """Serialize a message to wire bytes; ``CodecError`` if it is not a valid message."""
-    if msg.msg_type not in (MessageType.FRAME, MessageType.ECHO):
-        raise UnknownMessageTypeError(f"unknown msg_type {msg.msg_type!r}")
-    if msg.pixel_format not in (PixelFormat.RGB24, PixelFormat.EMPTY):
-        raise UnknownPixelFormatError(f"unknown pixel_format {msg.pixel_format!r}")
-    expected = expected_payload_len(msg.pixel_format, msg.width, msg.height)
+    """Serialize a message to wire bytes; ``CodecError`` if it is not a valid message.
+
+    ``msg_type`` and ``pixel_format`` may be plain ints; they are encoded
+    as the enum members of the same value.
+    """
+    try:
+        msg_type = MessageType(msg.msg_type)
+    except ValueError:
+        raise UnknownMessageTypeError(f"unknown msg_type {msg.msg_type!r}") from None
+    try:
+        pixel_format = PixelFormat(msg.pixel_format)
+    except ValueError:
+        raise UnknownPixelFormatError(f"unknown pixel_format {msg.pixel_format!r}") from None
+    expected = expected_payload_len(pixel_format, msg.width, msg.height)
     if len(msg.payload) != expected:
-        raise PayloadSizeError(f"{msg.pixel_format.name} {msg.width}x{msg.height} payload "
+        raise PayloadSizeError(f"{pixel_format.name} {msg.width}x{msg.height} payload "
                                f"must be {expected} bytes, got {len(msg.payload)}")
     timestamps = (msg.server_recv_ts_us, msg.server_send_ts_us)
-    if msg.msg_type is not MessageType.ECHO:
+    if msg_type is not MessageType.ECHO:
         if timestamps != (None, None):
             raise CodecError("frame message must not carry server timestamps")
     elif None in timestamps:
@@ -154,9 +162,9 @@ def encode_frame(msg: FrameMessage) -> bytes:
     elif msg.server_recv_ts_us > msg.server_send_ts_us:
         raise CodecError("server_recv_ts_us must not exceed server_send_ts_us")
     try:
-        header = _HEADER.pack(msg.msg_type, msg.frame_id, msg.capture_ts_us, msg.width,
-                              msg.height, msg.pixel_format, len(msg.payload))
-        trailer = ECHO_TRAILER.pack(*timestamps) if msg.msg_type is MessageType.ECHO else b""
+        header = _HEADER.pack(msg_type, msg.frame_id, msg.capture_ts_us, msg.width,
+                              msg.height, pixel_format, len(msg.payload))
+        trailer = ECHO_TRAILER.pack(*timestamps) if msg_type is MessageType.ECHO else b""
     except struct.error as exc:
         raise CodecError(f"field out of range of its wire type: {exc}") from None
     return b"".join((MAGIC, header, msg.payload, trailer))

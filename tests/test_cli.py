@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -199,6 +200,46 @@ class TestStreamBench:
         assert "error" in capsys.readouterr().err
 
 
+# SHA-256 of `pipeline-bench --frames 3000 --seed 3` output: the table on
+# stdout, the --json document and each --out timing CSV.  A change in the
+# sampling order, the float rounding or the summary statistics changes them.
+GOLDEN_PIPELINE_BENCH_SHA256 = {
+    "jetson-nano": {
+        "table":
+            "edcb3ace3c83e5a4b7d088b56bd30e6adf70755fb222473df6904cb1c1e116cf",
+        "json":
+            "b522c05cfe1c83f6ac9724b15ad15318c2afd08264c581681ae73efd9eb1dfce",
+        "1280x720.csv":
+            "54bba43e934c258dce052c262544ccf6bfff66039dc377fded326becb3dc367d",
+        "320x240.csv":
+            "ccb0be93a8979f698236dedcdd52432d76340be827006b27515918c28db7dee9",
+        "640x480.csv":
+            "d5cf3c7ee237458675ec52ed0833bb8ec1bf055cbb1c7f0fe3d7092e75e134a7",
+        "960x540.csv":
+            "ea33eee274870d56dd4a92b72a88ad1d614075e9ac612dcb22805a980c0597b0",
+        "average.csv":
+            "273e096f2c1c0231730612c420950e6bc85a5e243560d02b6024f7142d640f38",
+    },
+    "desktop-pc": {
+        "table":
+            "63927549d70f54d4b57ebae5d9d8f7a0a446285e0013f860f2a47a7a51c6b5f1",
+        "json":
+            "60eed1d5a1e539272d197807cc8e88c514c37ec4693cb2e66b652dfb5610fd2c",
+        "1280x720.csv":
+            "a6e5dd4b11d1c961febbc2dc729d7597a963c94b347f4f1f5a3e62c575487df5",
+        "320x240.csv":
+            "01a2f6a59eebe15b5312e19c36c450a2faeeb011e874c015e86e8cfc13cd62ce",
+        "640x480.csv":
+            "f77a66e440aac8806e8a8e9fcd9576c710b05a8fd8a415cbf2b7dfe59b6255db",
+        "960x540.csv":
+            "f04589a57068b365ad474b9448b189bec63934a76263b819dd4fd7d880b343b6",
+        "average.csv":
+            "fb26ca5f6a63d01a2564adc4c3a4286c01176a0fce1ecbb609e17147850a55a3",
+    },
+}
+
+
+
 class TestPipelineBench:
     def test_missing_profile_file(self, capsys):
         assert main(["pipeline-bench", "--profile", "/no/such/file.json"]) == 2
@@ -266,6 +307,22 @@ class TestPipelineBench:
         path.write_text(doc)
         assert main(["pipeline-bench", "--profile", str(path)]) == 2
         assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("device", sorted(GOLDEN_PIPELINE_BENCH_SHA256))
+    def test_seeded_output_matches_recorded_digests(self, profiles_dir, tmp_path, capsys, device):
+        def sha256(data):
+            return hashlib.sha256(data).hexdigest()
+
+        prefix = tmp_path / "timings"
+        argv = ["pipeline-bench", "--profile", str(profiles_dir / f"{device}.json"),
+                "--frames", "3000", "--seed", "3", "--out", str(prefix)]
+        digests = {}
+        for name, extra in (("table", []), ("json", ["--json"])):
+            assert main(argv + extra) == 0
+            digests[name] = sha256(capsys.readouterr().out.encode())
+        for path in tmp_path.glob("timings-*.csv"):
+            digests[path.name.removeprefix("timings-")] = sha256(path.read_bytes())
+        assert digests == GOLDEN_PIPELINE_BENCH_SHA256[device]
 
 
 def write_ear_rows(path, rows):

@@ -10,11 +10,12 @@ from drowsebench.pipeline import (
     StageName,
     StageProfile,
     TimingRecord,
+    _normal_draws,
+    _stage_columns,
     average_stage_set,
     clamped_normal_moments,
     clamped_normal_params,
     load_stage_sets,
-    make_sampler,
     queue_stability,
     read_timings_csv,
     simulate_session,
@@ -29,6 +30,21 @@ def det_profiles(face=1.0, landmark=1.0, blink=1.0):
         StageProfile(StageName.LANDMARK, landmark, 0.0, Distribution.DETERMINISTIC),
         StageProfile(StageName.BLINK, blink, 0.0, Distribution.DETERMINISTIC),
     ]
+
+
+def per_call_columns(profiles, n_frames, seed):
+    """Stage times in microseconds, one ``rng.gauss`` call per Gaussian stage and frame."""
+    rng = random.Random(seed)
+    columns = [[] for _ in profiles]
+    for _ in range(n_frames):
+        for column, profile in zip(columns, profiles):
+            if profile.dist is Distribution.DETERMINISTIC:
+                ms = profile.mean_ms
+            else:
+                a, b = clamped_normal_params(profile.mean_ms, profile.std_ms)
+                ms = max(0.0, rng.gauss(a, b))
+            column.append(ms * 1000.0)
+    return columns
 
 
 class TestClampedNormal:
@@ -46,9 +62,10 @@ class TestClampedNormal:
         assert std == pytest.approx(5.164, abs=1e-9)
 
     def test_sampled_moments_converge(self):
-        profile = StageProfile(StageName.BLINK, 2.645, 5.164)
-        sample = make_sampler(profile, random.Random(99))
-        xs = [sample() for _ in range(200_000)]
+        face, landmark, _ = det_profiles()
+        profiles = [face, landmark, StageProfile(StageName.BLINK, 2.645, 5.164)]
+        *_, blink_us = _stage_columns(profiles, 200_000, random.Random(99))
+        xs = [us / 1000.0 for us in blink_us]
         n = len(xs)
         mean = sum(xs) / n
         std = math.sqrt(sum((x - mean) ** 2 for x in xs) / n)
@@ -84,9 +101,55 @@ class TestStageProfile:
                 StageProfile(StageName.FACE, 1.0, bad)
 
     def test_deterministic_sampler_is_constant(self):
-        profile = StageProfile(StageName.FACE, 4.25, 0.0, Distribution.DETERMINISTIC)
-        sample = make_sampler(profile, random.Random(0))
-        assert [sample() for _ in range(5)] == [4.25] * 5
+        rng = random.Random(0)
+        columns = _stage_columns(det_profiles(4.25, 1.0, 0.5), 5, rng)
+        assert [list(c) for c in columns] == [[4250.0] * 5, [1000.0] * 5, [500.0] * 5]
+        # a deterministic stage draws nothing
+        assert rng.random() == random.Random(0).random()
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 1000, 1001])
+    def test_equal_sequential_gauss_calls(self, count):
+        rng = random.Random(7)
+        assert _normal_draws(random.Random(7), count) == [rng.gauss(0.0, 1.0) for _ in range(count)]
+
+    def test_equal_sequential_gauss_calls_on_random_seeds(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(seed=st.integers(0, 2**64), count=st.integers(0, 257))
+        def check(seed, count):
+            rng = random.Random(seed)
+            expected = [rng.gauss(0.0, 1.0) for _ in range(count)]
+            assert _normal_draws(random.Random(seed), count) == expected
+
+        check()
+
+    def test_stage_columns_equal_per_call_draws(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def stage(name):
+            return st.builds(
+                lambda mean, spread, dist: StageProfile(name, mean, mean * spread, dist),
+                st.floats(0.1, 150.0),
+                st.floats(0.0, 2.0),
+                st.sampled_from(Distribution),
+            )
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(
+            profiles=st.tuples(*(stage(name) for name in STAGE_ORDER)),
+            n_frames=st.integers(0, 64),
+            seed=st.integers(0, 2**32),
+        )
+        def check(profiles, n_frames, seed):
+            columns = _stage_columns(list(profiles), n_frames, random.Random(seed))
+            assert [list(c) for c in columns] == per_call_columns(profiles, n_frames, seed)
+
+        check()
 
 
 class TestFramePipeline:
@@ -318,6 +381,14 @@ class TestSeededTraces:
             end_us = duration_s * 1e6
             assert trace.completed == sum(1 for r in records if r.blink_done_ts_us <= end_us)
             assert trace.completed + trace.backlog == trace.arrived
+            columns = zip(
+                trace.recv_ts_us,
+                trace.face_done_ts_us,
+                trace.landmark_done_ts_us,
+                trace.blink_done_ts_us,
+            )
+            assert records == tuple(TimingRecord(k, *row) for k, row in enumerate(columns))
+            assert summarize_timings(trace) == summarize_timings(records)
 
         check()
 
@@ -401,6 +472,10 @@ class TestSummarizeTimings:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             summarize_timings([])
+        empty = simulate_session(1, 0.1, det_profiles(), seed=0)
+        assert empty.arrived == 0
+        with pytest.raises(ValueError):
+            summarize_timings(empty)
 
     def test_simulated_session_recovers_profile_means(self):
         profiles = [
@@ -409,7 +484,7 @@ class TestSummarizeTimings:
             StageProfile(StageName.BLINK, 2.645, 5.164),
         ]
         trace = simulate_session(30, 15, profiles, seed=12345)
-        summary = summarize_timings(trace.records)
+        summary = summarize_timings(trace)
         assert summary.count == 450
         for profile, stat in zip(profiles, (summary.face, summary.landmark, summary.blink)):
             tol = 3 * profile.std_ms / math.sqrt(450)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import socket
 import struct
@@ -113,6 +114,34 @@ class TestEncode:
     def test_u16_overflow_rejected(self):
         with pytest.raises(CodecError):
             encode_frame(tiny_frame(width=70000, payload=b"\xaa" * (70000 * 1 * 3)))
+
+    def test_plain_int_fields_encode_as_their_enum_members(self):
+        # a plain 2 is an echo: the trailer is written and the bytes decode
+        for msg in (tiny_echo(), tiny_frame(), tiny_frame(pixel_format=PixelFormat.EMPTY,
+                                                          payload=b"")):
+            plain = dataclasses.replace(
+                msg, msg_type=int(msg.msg_type), pixel_format=int(msg.pixel_format)
+            )
+            assert encode_frame(plain) == encode_frame(msg)
+            assert decode_frame(encode_frame(plain)) == msg
+
+    def test_expected_payload_len_of_plain_int_format(self):
+        assert expected_payload_len(0, 2, 1) == expected_payload_len(PixelFormat.RGB24, 2, 1) == 6
+        assert expected_payload_len(1, 2, 1) == 0
+
+    def test_plain_int_pixel_format_payload_size_checked(self):
+        with pytest.raises(PayloadSizeError, match="^RGB24 2x1 payload must be 6 bytes, got 5$"):
+            encode_frame(tiny_frame(pixel_format=0, payload=b"\xaa" * 5))
+
+    @pytest.mark.parametrize("field,value,error", [
+        ("msg_type", 3, UnknownMessageTypeError),
+        ("msg_type", "frame", UnknownMessageTypeError),
+        ("pixel_format", 2, UnknownPixelFormatError),
+        ("pixel_format", None, UnknownPixelFormatError),
+    ])
+    def test_unknown_enum_values_rejected(self, field, value, error):
+        with pytest.raises(error):
+            encode_frame(tiny_frame(**{field: value}))
 
 
 class TestDecode:
