@@ -259,6 +259,8 @@ def cmd_pipeline_bench(args) -> int:
     if args.frames < 1:
         raise UsageError(f"--frames must be at least 1, got {args.frames}")
     stage_sets = load_stage_sets(args.profile)
+    if not stage_sets:
+        raise DegenerateDataError(f"{args.profile} holds no stage sets")
     if len(stage_sets) > 1:
         stage_sets["average"] = average_stage_set(stage_sets)
     duration_s = args.frames / args.fps
@@ -598,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateDataError as exc:
         print(f"degenerate data: {exc}", file=sys.stderr)
         return 3
-    except (OSError, CodecError, ProtocolError, ValueError) as exc:
+    except (OSError, CodecError, ProtocolError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

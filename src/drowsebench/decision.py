@@ -377,14 +377,6 @@ def write_curve_csv(curve: ThresholdCurve, path: str | Path) -> None:
     write_csv(path, CURVE_CSV_HEADER, ((p.threshold, p.fpr, p.fnr, p.cost) for p in curve.points))
 
 
-def write_model_stats_json(stats: Iterable[ModelStats], path: str | Path) -> None:
-    doc = [
-        {"model_id": s.model_id, "tpr": s.tpr, "tnr": s.tnr, "threshold": s.threshold}
-        for s in stats
-    ]
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def read_model_stats_json(path: str | Path) -> list[ModelStats]:
     """Model stats from a JSON list of objects; any defect names the file."""
     try:

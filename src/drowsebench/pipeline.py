@@ -114,22 +114,17 @@ class TimingRecord:
         return (self.blink_done_ts_us - self.recv_ts_us) / 1000.0
 
 
-def _norm_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def clamped_normal_moments(a: float, b: float) -> tuple[float, float]:
     """Mean and std of max(N(a, b^2), 0)."""
-    if b == 0:
-        m = max(a, 0.0)
-        return m, 0.0
+    if b == 0 or a > 8.0 * b:
+        # clamping moves neither moment by 1e-13 relative here, and the
+        # closed form below would lose a narrow std to cancellation
+        return max(a, 0.0), b
     alpha = a / b
-    mean = a * _norm_cdf(alpha) + b * _norm_pdf(alpha)
-    second = (a * a + b * b) * _norm_cdf(alpha) + a * b * _norm_pdf(alpha)
+    cdf = 0.5 * (1.0 + math.erf(alpha / math.sqrt(2.0)))
+    pdf = math.exp(-0.5 * alpha * alpha) / math.sqrt(2.0 * math.pi)
+    mean = a * cdf + b * pdf
+    second = (a * a + b * b) * cdf + a * b * pdf
     return mean, math.sqrt(max(second - mean * mean, 0.0))
 
 
@@ -138,7 +133,11 @@ def clamped_normal_params(mean: float, std: float) -> tuple[float, float]:
 
     Clamping negative draws to zero shifts the moments when std is large
     relative to mean, so the underlying Gaussian is solved for rather
-    than used as-is; with std << mean the answer is (mean, std).
+    than used as-is; when mean >= 8 * std the answer is (mean, std).
+    Otherwise alpha = a / b is bisected on [-4, 8] until the std/mean
+    ratio of ``clamped_normal_moments(alpha, 1.0)`` matches std / mean,
+    and b scales that unit-width mean onto ``mean``.  A std / mean at or
+    above the ratio at alpha = -4 raises ValueError.
     """
     if mean <= 0:
         raise ValueError(f"mean must be positive, got {mean}")
@@ -150,9 +149,8 @@ def clamped_normal_params(mean: float, std: float) -> tuple[float, float]:
     target = std / mean
 
     def ratio(alpha: float) -> float:
-        g = alpha * _norm_cdf(alpha) + _norm_pdf(alpha)
-        m2 = (alpha * alpha + 1.0) * _norm_cdf(alpha) + alpha * _norm_pdf(alpha)
-        return math.sqrt(max(m2 - g * g, 0.0)) / g
+        m, s = clamped_normal_moments(alpha, 1.0)
+        return s / m
 
     lo, hi = -4.0, 8.0
     if target >= ratio(lo):
@@ -164,7 +162,7 @@ def clamped_normal_params(mean: float, std: float) -> tuple[float, float]:
         else:
             hi = mid
     alpha = 0.5 * (lo + hi)
-    b = mean / (alpha * _norm_cdf(alpha) + _norm_pdf(alpha))
+    b = mean / clamped_normal_moments(alpha, 1.0)[0]
     return alpha * b, b
 
 

@@ -279,9 +279,13 @@ def stream_and_measure(
     if n_frames < 2:
         raise ValueError(f"need at least 2 frames, got {n_frames}")
 
+    payload_len = expected_payload_len(pixel_format, width, height)
+    try:  # the header's u16 dimensions and u32 payload_len, before the payload exists
+        struct.pack("<HHI", width, height, payload_len)
+    except struct.error as exc:
+        raise CodecError(f"field out of range of its wire type: {exc}") from None
     wire = bytearray(encode_frame(FrameMessage(
-        MessageType.FRAME, 0, 0, width, height, pixel_format,
-        _test_pattern(expected_payload_len(pixel_format, width, height)),
+        MessageType.FRAME, 0, 0, width, height, pixel_format, _test_pattern(payload_len)
     )))
     expected = bytearray(wire)  # the receiver's copy: the sender patches ``wire`` meanwhile
     period_us = 1e6 / fps

@@ -14,7 +14,7 @@ import pytest
 import drowsebench
 from drowsebench.blink import EarSample, read_ear_csv, write_ear_csv
 from drowsebench.cli import main
-from drowsebench.decision import Label, ModelStats, ScoredSequence, write_model_stats_json
+from drowsebench.decision import Label, ScoredSequence
 from drowsebench.decision import read_scores_csv, write_scores_csv
 from drowsebench.pipeline import TimingRecord, read_timings_csv, write_timings_csv
 from drowsebench.transport import RoundTripRecord, read_rtt_csv, write_rtt_csv
@@ -199,6 +199,17 @@ class TestStreamBench:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_oversized_frame_exits_2_before_its_payload_exists(self, monkeypatch, capsys):
+        # 65535x65535 rgb24 is a 12.9 GB payload, beyond the u32 payload_len
+        def allocate(n):
+            raise AssertionError(f"built a {n}-byte payload")
+
+        monkeypatch.setattr("drowsebench.transport._test_pattern", allocate)
+        rc = main(["stream-bench", "--loopback", "--frames", "2", "--res", "65535x65535"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field out of range of its wire type: ")
+
 
 # SHA-256 of `pipeline-bench --frames 3000 --seed 3` output: the table on
 # stdout, the --json document and each --out timing CSV.  A change in the
@@ -292,6 +303,22 @@ class TestPipelineBench:
         )
         assert main(["pipeline-bench", "--profile", str(path)]) == 2
         assert "mean_ms must be positive and finite, got nan" in capsys.readouterr().err
+
+    def test_device_file_with_no_stage_sets_is_degenerate(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"resolutions": {}}')
+        assert main(["pipeline-bench", "--profile", str(path)]) == 3
+        assert capsys.readouterr() == ("", f"degenerate data: {path} holds no stage sets\n")
+
+    def test_overflowing_stage_time_exits_2(self, tmp_path, capsys):
+        # 1e306 ms is finite; in microseconds it is inf, which pstdev cannot sum
+        path = tmp_path / "huge.json"
+        path.write_text('{"stages": [{"name": "face", "mean_ms": 1e306},'
+                        ' {"name": "landmark", "mean_ms": 1.0},'
+                        ' {"name": "blink", "mean_ms": 1.0}]}')
+        assert main(["pipeline-bench", "--profile", str(path), "--frames", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err.partition(" ")[0]) == ("", "error:")
 
     @pytest.mark.parametrize(
         "doc,message",
@@ -506,17 +533,18 @@ class TestOptimize:
 
 class TestVote:
     def stats_file(self, tmp_path, stats):
+        # README "vote": a JSON list of {model_id, tpr, tnr, threshold} objects
         path = tmp_path / "models.json"
-        write_model_stats_json(stats, path)
+        path.write_text(json.dumps(stats))
         return path
 
     def test_three_model_vote(self, tmp_path, capsys):
         path = self.stats_file(
             tmp_path,
             [
-                ModelStats(model_id=1, tpr=0.9, tnr=0.5, threshold=5.0),
-                ModelStats(model_id=2, tpr=0.8, tnr=0.5, threshold=5.0),
-                ModelStats(model_id=3, tpr=0.9, tnr=0.5, threshold=5.0),
+                {"model_id": 1, "tpr": 0.9, "tnr": 0.5, "threshold": 5.0},
+                {"model_id": 2, "tpr": 0.8, "tnr": 0.5, "threshold": 5.0},
+                {"model_id": 3, "tpr": 0.9, "tnr": 0.5, "threshold": 5.0},
             ],
         )
         rc = main(["vote", "--stats", str(path), "--decisions", "1,0,1"])
@@ -527,14 +555,14 @@ class TestVote:
         assert payload["decision"] == "drowsy"
 
     def test_mismatched_decisions(self, tmp_path, capsys):
-        path = self.stats_file(tmp_path, [ModelStats(model_id=1, tpr=0.9, tnr=0.5,
-                                                     threshold=5.0)])
+        path = self.stats_file(tmp_path, [{"model_id": 1, "tpr": 0.9, "tnr": 0.5,
+                                           "threshold": 5.0}])
         assert main(["vote", "--stats", str(path), "--decisions", "1,0"]) == 1
         assert main(["vote", "--stats", str(path), "--decisions", "2"]) == 1
 
     def test_zero_weight_ensemble_is_degenerate(self, tmp_path, capsys):
         path = self.stats_file(
-            tmp_path, [ModelStats(model_id=1, tpr=0.0, tnr=0.0, threshold=5.0)]
+            tmp_path, [{"model_id": 1, "tpr": 0.0, "tnr": 0.0, "threshold": 5.0}]
         )
         assert main(["vote", "--stats", str(path), "--decisions", "1"]) == 3
 
@@ -598,6 +626,25 @@ class TestReport:
         path = tmp_path / "empty.csv"
         path.write_text("frame_id,face_ms,landmark_ms,blink_ms,total_ms\n")
         assert main(["report", "--in", str(path)]) == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # fsum of the two durations overflows
+            "frame_id,face_ms,landmark_ms,blink_ms,total_ms\n"
+            "0,1e308,1,1,1e308\n1,1e308,1,1,1e308\n",
+            # the rtt percentiles' integer division overflows a float
+            "frame_id,send_ts_us,recv_ts_us,rtt_us,inter_arrival_us\n"
+            f"0,0,1,5,\n1,10,11,{'9' * 309},10\n",
+        ],
+        ids=["timing", "rtt"],
+    )
+    def test_finite_but_overflowing_values_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "huge.csv"
+        path.write_text(text)
+        assert main(["report", "--in", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err.partition(" ")[0]) == ("", "error:")
 
 
 def package_env() -> dict:

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import pytest
@@ -25,7 +27,6 @@ from drowsebench.decision import (
     vote,
     weighted_vote,
     write_curve_csv,
-    write_model_stats_json,
     write_scores_csv,
 )
 from drowsebench.synth import ScoreDatasetSpec, gen_score_dataset
@@ -395,7 +396,7 @@ class TestSerialization:
             ModelStats(model_id=2, tpr=0.8, tnr=0.7, threshold=5.0),
         ]
         path = tmp_path / "models.json"
-        write_model_stats_json(stats, path)
+        path.write_text(json.dumps([dataclasses.asdict(s) for s in stats]))
         assert read_model_stats_json(path) == stats
 
     def test_model_stats_rejects_non_list(self, tmp_path):

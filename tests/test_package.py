@@ -81,9 +81,8 @@ def test_readme_library_imports_run():
     exec(compile(block.group(1), "README.md", "exec"), {})
 
 
-def test_names_the_benchmark_tracer_wraps_exist():
-    # perfbench/tracing.py patches these attributes by name; the benchmark
-    # fails at start-up if one is renamed or deleted
+def tracer_targets():
+    """``(module, name)`` of each drowsebench attribute perfbench/tracing.py wraps."""
     tracing = Path(__file__).parents[1] / "perfbench" / "tracing.py"
     tree = ast.parse(tracing.read_text(), filename=str(tracing))
     targets = []
@@ -95,9 +94,43 @@ def test_names_the_benchmark_tracer_wraps_exist():
         elif (isinstance(node, ast.Assign) and len(node.targets) == 1
                 and getattr(node.targets[0], "id", None) == "CLI_LIBRARY_CALLS"):
             targets += [("cli", name) for name in ast.literal_eval(node.value)]
+    return targets
+
+
+def test_names_the_benchmark_tracer_wraps_exist():
+    # perfbench/tracing.py patches these attributes by name; the benchmark
+    # fails at start-up if one is renamed or deleted
+    targets = tracer_targets()
     assert {"read_frame", "write_frame", "encode_frame", "decode_frame"} <= {
         name for _, name in targets}
     assert any(module == "cli" for module, _ in targets)
     missing = [f"drowsebench.{module}.{name}" for module, name in targets
                if not hasattr(importlib.import_module(f"drowsebench.{module}"), name)]
     assert missing == []
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # a public top-level def or class is read somewhere in src/ outside its
+    # own body (an import alone does not count), exported by __init__.py,
+    # or wrapped by the benchmark's tracer; anything else serves only tests
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(drowsebench.__file__).parent.glob("*.py"))}
+    kept = {alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    kept |= {name for _, name in tracer_targets()}
+    loaded = {}  # name -> ids of the nodes that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                loaded.setdefault(node.attr, set()).add(id(node))
+    unused = [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in kept
+        and not loaded.get(node.name, set()) - {id(inner) for inner in ast.walk(node)}
+    ]
+    assert unused == [], "no caller in src/: " + ", ".join(unused)

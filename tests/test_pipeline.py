@@ -77,6 +77,10 @@ class TestClampedNormal:
         assert clamped_normal_moments(3.0, 0.0) == (3.0, 0.0)
         assert clamped_normal_moments(-3.0, 0.0) == (0.0, 0.0)
 
+    def test_narrow_width_keeps_its_std(self):
+        # second moment minus squared mean cancels to 0 at this width
+        assert clamped_normal_moments(1.0, 1e-9) == (1.0, 1e-9)
+
     def test_rejects_bad_targets(self):
         with pytest.raises(ValueError):
             clamped_normal_params(0.0, 1.0)
@@ -84,6 +88,23 @@ class TestClampedNormal:
             clamped_normal_params(1.0, -0.1)
         with pytest.raises(ValueError):
             clamped_normal_params(1.0, 1000.0)
+
+    def test_solved_gaussian_has_the_target_moments(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        # a spread beyond about 246 (alpha = -4) is rejected
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(mean=st.floats(1e-3, 1e3), spread=st.floats(0.0, 250.0))
+        def check(mean, spread):
+            try:
+                a, b = clamped_normal_params(mean, mean * spread)
+            except ValueError:
+                hypothesis.reject()
+            moments = clamped_normal_moments(a, b)
+            assert moments == pytest.approx((mean, mean * spread), rel=1e-9, abs=0.0)
+
+        check()
 
 
 class TestStageProfile:

@@ -11,6 +11,7 @@ from drowsebench.protocol import (
     ECHO_TRAILER_SIZE,
     HEADER_SIZE,
     MAGIC,
+    CodecError,
     FrameMessage,
     MessageType,
     PixelFormat,
@@ -141,6 +142,19 @@ class TestStreamAndMeasure:
     def test_rejects_non_finite_fps(self, echo_address, fps):
         with pytest.raises(ValueError, match="^fps must be positive and finite, got"):
             stream_and_measure(*echo_address, fps=fps, n_frames=10, width=8, height=8)
+
+    @pytest.mark.parametrize("width,height", [(70000, 1), (65535, 65535)])
+    def test_header_ranges_are_checked_before_the_payload_exists(
+        self, monkeypatch, width, height
+    ):
+        # 70000 overflows the u16 width; 65535x65535 rgb24 is a 12.9 GB payload,
+        # beyond the u32 payload_len.  Both fail before any connection is made.
+        def allocate(n):
+            raise AssertionError(f"built a {n}-byte payload")
+
+        monkeypatch.setattr("drowsebench.transport._test_pattern", allocate)
+        with pytest.raises(CodecError, match="^field out of range of its wire type: "):
+            stream_and_measure("127.0.0.1", 9, fps=30, n_frames=2, width=width, height=height)
 
     def test_connection_refused(self):
         # grab a port that nothing listens on
