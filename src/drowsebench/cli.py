@@ -341,7 +341,11 @@ def cmd_detect(args) -> int:
     _emit(args, table, payload)
     if args.out:
         write_features_csv(features, args.out)
-        print(f"wrote {len(features)} feature rows to {args.out}")
+        # --json keeps stdout one JSON document
+        print(
+            f"wrote {len(features)} feature rows to {args.out}",
+            file=sys.stderr if args.json else sys.stdout,
+        )
     return 0
 
 
@@ -364,16 +368,11 @@ def cmd_optimize(args) -> int:
         def pct(value: float | None) -> str:
             return "n/a" if value is None else f"{value:+.1f}%"
 
+        opt, dft = cmp.optimal, cmp.default
         table.add_row(
             model_id,
-            f"{cmp.optimal_threshold:.2f}",
-            f"{cmp.optimal_cost:.2f}",
-            f"{cmp.optimal_fpr:.2f}",
-            f"{cmp.optimal_fnr:.3f}",
-            f"{cmp.default_threshold:.2f}",
-            f"{cmp.default_cost:.2f}",
-            f"{cmp.default_fpr:.2f}",
-            f"{cmp.default_fnr:.3f}",
+            f"{opt.threshold:.2f}", f"{opt.cost:.2f}", f"{opt.fpr:.2f}", f"{opt.fnr:.3f}",
+            f"{dft.threshold:.2f}", f"{dft.cost:.2f}", f"{dft.fpr:.2f}", f"{dft.fnr:.3f}",
             pct(cmp.fpr_change_pct),
             pct(cmp.fnr_change_pct),
         )
@@ -381,18 +380,10 @@ def cmd_optimize(args) -> int:
             {
                 "model_id": model_id,
                 "file": str(path),
-                "optimal_threshold": cmp.optimal_threshold,
-                "optimal": {
-                    "cost": cmp.optimal_cost,
-                    "fpr": cmp.optimal_fpr,
-                    "fnr": cmp.optimal_fnr,
-                },
-                "default_threshold": cmp.default_threshold,
-                "default": {
-                    "cost": cmp.default_cost,
-                    "fpr": cmp.default_fpr,
-                    "fnr": cmp.default_fnr,
-                },
+                "optimal_threshold": opt.threshold,
+                "optimal": {"cost": opt.cost, "fpr": opt.fpr, "fnr": opt.fnr},
+                "default_threshold": dft.threshold,
+                "default": {"cost": dft.cost, "fpr": dft.fpr, "fnr": dft.fnr},
                 "fpr_change_pct": cmp.fpr_change_pct,
                 "fnr_change_pct": cmp.fnr_change_pct,
             }
@@ -406,6 +397,8 @@ def cmd_optimize(args) -> int:
 
 def cmd_vote(args) -> int:
     stats = read_model_stats_json(args.stats)
+    if not stats:
+        raise DegenerateDataError(f"{args.stats} holds no model stats")
     decisions = _parse_decisions(args.decisions)
     if len(decisions) != len(stats):
         raise UsageError(f"{len(decisions)} decisions for {len(stats)} models")

@@ -77,10 +77,6 @@ class ConfusionMatrix:
     tn: int
     fn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 @dataclass(frozen=True)
 class ScoreTally:
@@ -177,26 +173,15 @@ class CurvePoint:
     cost: float
 
 
+def _point(tally: ScoreTally, threshold: float, w_fn: float, w_fp: float) -> CurvePoint:
+    """The operating point at ``threshold``: its error rates and their cost."""
+    rates = Rates.from_confusion(tally.at(threshold))
+    return CurvePoint(threshold, rates.fpr, rates.fnr, cost(rates, w_fn, w_fp))
+
+
 @dataclass(frozen=True)
 class ThresholdCurve:
     points: tuple[CurvePoint, ...]
-    w_fn: float
-    w_fp: float
-
-
-def _curve(tally: ScoreTally, w_fn: float, w_fp: float) -> ThresholdCurve:
-    points = []
-    for threshold in threshold_grid():
-        rates = Rates.from_confusion(tally.at(threshold))
-        points.append(
-            CurvePoint(
-                threshold=threshold,
-                fpr=rates.fpr,
-                fnr=rates.fnr,
-                cost=cost(rates, w_fn, w_fp),
-            )
-        )
-    return ThresholdCurve(points=tuple(points), w_fn=w_fn, w_fp=w_fp)
 
 
 def sweep(
@@ -205,7 +190,8 @@ def sweep(
     w_fp: float = DEFAULT_W_FP,
 ) -> ThresholdCurve:
     """Evaluate rates and cost at every grid threshold, in grid order."""
-    return _curve(_tally(sequences), w_fn, w_fp)
+    tally = _tally(sequences)
+    return ThresholdCurve(tuple(_point(tally, t, w_fn, w_fp) for t in threshold_grid()))
 
 
 def optimize_threshold(
@@ -223,7 +209,7 @@ def optimize_threshold(
         only = Label.ALERT if tally.alert else Label.DROWSY
         raise DegenerateDataError(f"dataset holds only {only.name} sequences; need both classes")
     # min keeps the first of equal costs, and grid thresholds increase
-    best = min(_curve(tally, w_fn, w_fp).points, key=lambda point: point.cost)
+    best = min(sweep(tally, w_fn, w_fp).points, key=lambda point: point.cost)
     return best.threshold, Rates.from_confusion(tally.at(best.threshold))
 
 
@@ -238,14 +224,8 @@ def percent_change(old: float, new: float) -> float | None:
 class ThresholdComparison:
     """Operating points at an optimized and a default threshold."""
 
-    optimal_threshold: float
-    default_threshold: float
-    optimal_cost: float
-    optimal_fpr: float
-    optimal_fnr: float
-    default_cost: float
-    default_fpr: float
-    default_fnr: float
+    optimal: CurvePoint
+    default: CurvePoint
     fpr_change_pct: float | None
     fnr_change_pct: float | None
 
@@ -258,17 +238,11 @@ def compare_to_default(
 ) -> ThresholdComparison:
     """Rates and cost at ``optimal_threshold`` against ``DEFAULT_THRESHOLD``."""
     tally = _tally(sequences)
-    opt = Rates.from_confusion(tally.at(optimal_threshold))
-    dft = Rates.from_confusion(tally.at(DEFAULT_THRESHOLD))
+    opt = _point(tally, optimal_threshold, w_fn, w_fp)
+    dft = _point(tally, DEFAULT_THRESHOLD, w_fn, w_fp)
     return ThresholdComparison(
-        optimal_threshold=optimal_threshold,
-        default_threshold=DEFAULT_THRESHOLD,
-        optimal_cost=cost(opt, w_fn, w_fp),
-        optimal_fpr=opt.fpr,
-        optimal_fnr=opt.fnr,
-        default_cost=cost(dft, w_fn, w_fp),
-        default_fpr=dft.fpr,
-        default_fnr=dft.fnr,
+        optimal=opt,
+        default=dft,
         fpr_change_pct=percent_change(dft.fpr, opt.fpr),
         fnr_change_pct=percent_change(dft.fnr, opt.fnr),
     )
@@ -302,7 +276,7 @@ class VoteResult:
 
 
 def weighted_vote(weights: Sequence[float], decisions: Sequence[int]) -> VoteResult:
-    """Combine binary decisions with the given non-negative weights.
+    """Combine binary decisions with the given non-negative, finite weights.
 
     The prediction is the weight share of Drowsy votes; the ensemble
     answers Drowsy when it exceeds 0.5.  An all-zero weight vector is
@@ -312,8 +286,8 @@ def weighted_vote(weights: Sequence[float], decisions: Sequence[int]) -> VoteRes
         raise ValueError(f"{len(weights)} weights for {len(decisions)} decisions")
     if not weights:
         raise ValueError("empty ensemble")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be non-negative")
+    if not all(0 <= w < math.inf for w in weights):
+        raise ValueError("weights must be non-negative and finite")
     if any(d not in (0, 1) for d in decisions):
         raise ValueError(f"decisions must be 0 or 1, got {list(decisions)}")
     total = sum(weights)

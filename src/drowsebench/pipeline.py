@@ -75,11 +75,16 @@ class StageProfile:
     def __post_init__(self):
         if not math.isfinite(self.mean_ms) or self.mean_ms <= 0:
             raise ValueError(
-                f"stage {self.name}: mean_ms must be positive and finite, got {self.mean_ms}"
+                f"stage {self.name.value}: mean_ms must be positive and finite, got {self.mean_ms}"
             )
         if not math.isfinite(self.std_ms) or self.std_ms < 0:
             raise ValueError(
-                f"stage {self.name}: std_ms must be non-negative and finite, got {self.std_ms}"
+                f"stage {self.name.value}: std_ms must be non-negative and finite, "
+                f"got {self.std_ms}"
+            )
+        if self.dist is Distribution.DETERMINISTIC and self.std_ms != 0:
+            raise ValueError(
+                f"stage {self.name.value}: a deterministic stage needs std_ms 0, got {self.std_ms}"
             )
 
 
@@ -461,7 +466,11 @@ def average_stage_set(stage_sets: Mapping[str, list[StageProfile]]) -> list[Stag
                 name=name,
                 mean_ms=statistics.fmean(p.mean_ms for p in rows),
                 std_ms=statistics.fmean(p.std_ms for p in rows),
-                dist=rows[0].dist,
+                dist=(
+                    Distribution.DETERMINISTIC
+                    if all(p.dist is Distribution.DETERMINISTIC for p in rows)
+                    else Distribution.TRUNC_NORMAL
+                ),
             )
         )
     return averaged

@@ -327,6 +327,12 @@ class TestPipelineBench:
             ('{"stages": [1, 2, 3]}', "every stage entry must be a JSON object"),
             ('{"resolutions": {"320x240": [1]}}', "list indices must be integers"),
             ('{"stages": [', "Expecting value"),
+            (
+                '{"stages": [{"name": "face", "mean_ms": 5.0},'
+                ' {"name": "landmark", "mean_ms": 2.0},'
+                ' {"name": "blink", "mean_ms": 1.0, "std_ms": 0.2, "dist": "deterministic"}]}',
+                "stage blink: a deterministic stage needs std_ms 0, got 0.2",
+            ),
         ],
     )
     def test_malformed_profile_names_the_file(self, tmp_path, capsys, doc, message):
@@ -579,8 +585,40 @@ class TestVote:
         assert main(["vote", "--stats", str(path), "--decisions", "1"]) == 2
         assert f"error: {path}: {message}" in capsys.readouterr().err
 
+    def test_empty_stats_list_is_degenerate(self, tmp_path, capsys):
+        path = self.stats_file(tmp_path, [])
+        assert main(["vote", "--stats", str(path), "--decisions", "1"]) == 3
+        assert capsys.readouterr() == ("", f"degenerate data: {path} holds no model stats\n")
+
     def test_missing_stats_file(self):
         assert main(["vote", "--stats", "/no/such.json", "--decisions", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command", ["stream-bench", "pipeline-bench", "detect", "optimize", "report"]
+)
+def test_json_stdout_is_one_document_next_to_file_output(command, tmp_path, capsys):
+    ear_csv, scores_csv, timings_csv = (tmp_path / name for name in ("ear", "scores", "timings"))
+    assert main(["gen", "ear", "--blinks", "2", "--out", str(ear_csv)]) == 0
+    write_skewed_scores(scores_csv)
+    write_timings_csv([TimingRecord(k, 0.0, 1000.0, 2000.0, 2500.0) for k in range(3)],
+                      timings_csv)
+    argv, written = {
+        "stream-bench": (["--loopback", "--fps", "200", "--frames", "4", "--res", "8x8",
+                          "--out", str(tmp_path / "rtt")], "rtt-8x8.csv"),
+        "pipeline-bench": (["--profile", str(single_set_profile(tmp_path)), "--frames", "20",
+                            "--out", str(tmp_path / "sim")], "sim-default.csv"),
+        "detect": (["--in", str(ear_csv), "--out", str(tmp_path / "features.csv")],
+                   "features.csv"),
+        "optimize": (["--scores", str(scores_csv), "--curve-out", str(tmp_path / "curve")],
+                     "curve.csv"),
+        "report": (["--in", str(timings_csv)], None),
+    }[command]
+    capsys.readouterr()
+    assert main([command, *argv, "--json"]) == 0
+    # json.loads rejects anything printed before or after the one document
+    assert isinstance(json.loads(capsys.readouterr().out), dict)
+    assert written is None or (tmp_path / written).exists()
 
 
 class TestReport:

@@ -7,6 +7,7 @@ import pytest
 from drowsebench.decision import (
     DEFAULT_THRESHOLD,
     ConfusionMatrix,
+    CurvePoint,
     DegenerateDataError,
     Label,
     ModelStats,
@@ -74,7 +75,6 @@ class TestConfusion:
     def test_four_point_tally(self):
         cm = confusion(FOUR_POINT, 10 / 3)
         assert cm == ConfusionMatrix(tp=2, fp=1, tn=1, fn=0)
-        assert cm.total == 4
 
     def test_threshold_is_inclusive(self):
         # the 4.0 alert reaches a 4.0 threshold, so it is a false alarm
@@ -131,8 +131,8 @@ class TestConfusion:
                 cmp = compare_to_default(given, grid[3])
                 opt = Rates.from_confusion(expected[grid[3]])
                 dft = Rates.from_confusion(expected[DEFAULT_THRESHOLD])
-                assert (cmp.optimal_fpr, cmp.optimal_fnr) == (opt.fpr, opt.fnr)
-                assert (cmp.default_fpr, cmp.default_fnr) == (dft.fpr, dft.fnr)
+                assert cmp.optimal == CurvePoint(grid[3], opt.fpr, opt.fnr, cost(opt))
+                assert cmp.default == CurvePoint(DEFAULT_THRESHOLD, dft.fpr, dft.fnr, cost(dft))
                 if single_class:
                     with pytest.raises(DegenerateDataError, match=f"only {pairs[0][1].name} "):
                         optimize_threshold(given)
@@ -187,7 +187,6 @@ class TestSweep:
     def test_covers_grid_in_order(self):
         curve = sweep(FOUR_POINT)
         assert [p.threshold for p in curve.points] == threshold_grid()
-        assert (curve.w_fn, curve.w_fp) == (2.0, 1.0)
 
     def test_rates_are_monotone_in_threshold(self):
         for data in (FOUR_POINT, SKEWED):
@@ -243,13 +242,14 @@ class TestCompareToDefault:
         threshold, _ = optimize_threshold(SKEWED)
         assert threshold == pytest.approx(13 / 3)
         cmp = compare_to_default(SKEWED, threshold)
-        assert cmp.default_threshold == DEFAULT_THRESHOLD
-        assert cmp.optimal_fpr == pytest.approx(0.31)
-        assert cmp.optimal_fnr == pytest.approx(0.043)
-        assert cmp.default_fpr == pytest.approx(0.21)
-        assert cmp.default_fnr == pytest.approx(0.114)
-        assert cmp.optimal_cost == pytest.approx(0.396)
-        assert cmp.default_cost == pytest.approx(0.438)
+        assert cmp.optimal.threshold == threshold
+        assert cmp.default.threshold == DEFAULT_THRESHOLD
+        assert cmp.optimal.fpr == pytest.approx(0.31)
+        assert cmp.optimal.fnr == pytest.approx(0.043)
+        assert cmp.default.fpr == pytest.approx(0.21)
+        assert cmp.default.fnr == pytest.approx(0.114)
+        assert cmp.optimal.cost == pytest.approx(0.396)
+        assert cmp.default.cost == pytest.approx(0.438)
         assert cmp.fpr_change_pct == pytest.approx(47.619, abs=1e-3)
         assert cmp.fnr_change_pct == pytest.approx(-62.2807, abs=1e-3)
 
@@ -308,8 +308,10 @@ class TestEnsemble:
             weighted_vote([1.0], [1, 0])
         with pytest.raises(ValueError):
             weighted_vote([], [])
-        with pytest.raises(ValueError):
-            weighted_vote([-1.0, 2.0], [1, 0])
+        # a NaN or infinite weight would make the prediction NaN, outside [0, 1]
+        for weight in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="weights must be non-negative and finite"):
+                weighted_vote([weight, 2.0], [1, 0])
         with pytest.raises(ValueError):
             weighted_vote([1.0, 2.0], [1, 2])
         with pytest.raises(DegenerateDataError):

@@ -113,12 +113,15 @@ class TestStageProfile:
             StageProfile(StageName.FACE, 0.0)
         with pytest.raises(ValueError):
             StageProfile(StageName.FACE, 1.0, -1.0)
+        # a deterministic stage always takes its mean, so its std is 0
+        with pytest.raises(ValueError, match="^stage landmark: a deterministic stage needs std_ms"):
+            StageProfile(StageName.LANDMARK, 2.0, 0.5, Distribution.DETERMINISTIC)
 
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="mean_ms must be positive and finite"):
+            with pytest.raises(ValueError, match="^stage face: mean_ms must be positive and"):
                 StageProfile(StageName.FACE, bad)
-            with pytest.raises(ValueError, match="std_ms must be non-negative and finite"):
+            with pytest.raises(ValueError, match="^stage face: std_ms must be non-negative and"):
                 StageProfile(StageName.FACE, 1.0, bad)
 
     def test_deterministic_sampler_is_constant(self):
@@ -154,7 +157,10 @@ class TestBatchedDraws:
 
         def stage(name):
             return st.builds(
-                lambda mean, spread, dist: StageProfile(name, mean, mean * spread, dist),
+                # a deterministic stage has std 0
+                lambda mean, spread, dist: StageProfile(
+                    name, mean, 0.0 if dist is Distribution.DETERMINISTIC else mean * spread, dist
+                ),
                 st.floats(0.1, 150.0),
                 st.floats(0.0, 2.0),
                 st.sampled_from(Distribution),
@@ -366,7 +372,10 @@ class TestSeededTraces:
 
         def stage(name):
             return st.builds(
-                lambda mean, spread, dist: StageProfile(name, mean, mean * spread, dist),
+                # a deterministic stage has std 0
+                lambda mean, spread, dist: StageProfile(
+                    name, mean, 0.0 if dist is Distribution.DETERMINISTIC else mean * spread, dist
+                ),
                 st.floats(0.1, 150.0),
                 st.floats(0.0, 2.0),
                 st.sampled_from(Distribution),
@@ -579,6 +588,17 @@ class TestStageSetFiles:
         jetson = average_stage_set(load_stage_sets(profiles_dir / "jetson-nano.json"))
         assert sum(p.mean_ms for p in jetson) == pytest.approx(94.267)
         assert jetson[0].mean_ms == pytest.approx(83.25475)
+
+    def test_average_is_deterministic_only_when_every_set_is(self):
+        trunc = [StageProfile(name, 2.0, 1.0) for name in STAGE_ORDER]
+        # the result must not depend on which set comes first
+        for sets in ({"a": det_profiles(), "b": trunc}, {"b": trunc, "a": det_profiles()}):
+            averaged = average_stage_set(sets)
+            assert [p.dist for p in averaged] == [Distribution.TRUNC_NORMAL] * 3
+            assert [(p.mean_ms, p.std_ms) for p in averaged] == [(1.5, 0.5)] * 3
+        averaged = average_stage_set({"a": det_profiles(), "b": det_profiles(2.0, 2.0, 2.0)})
+        assert [p.dist for p in averaged] == [Distribution.DETERMINISTIC] * 3
+        assert [(p.mean_ms, p.std_ms) for p in averaged] == [(1.5, 0.0)] * 3
 
     def test_average_rejects_empty(self):
         with pytest.raises(ValueError):
