@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime or I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -201,11 +202,9 @@ def cmd_stream_bench(args) -> int:
     resolutions = _parse_resolutions(args.res)
     pixel_format = PixelFormat.RGB24 if args.pixel_format == "rgb24" else PixelFormat.EMPTY
 
-    server = None
-    try:
+    with contextlib.ExitStack() as stack:
         if args.loopback:
-            server = EchoServer().start()
-            host, port = server.address
+            host, port = stack.enter_context(EchoServer()).address
         else:
             host, port = _parse_endpoint(args.connect)
 
@@ -249,9 +248,6 @@ def cmd_stream_bench(args) -> int:
             if args.out:
                 write_rtt_csv(records, f"{args.out}-{width}x{height}.csv")
         _emit(args, table, payload)
-    finally:
-        if server is not None:
-            server.stop()
     return 0
 
 
@@ -423,6 +419,8 @@ def cmd_gen(args) -> int:
             raise UsageError(f"--blinks must be >= 0, got {args.blinks}")
         if not 0 <= args.noise < math.inf:
             raise UsageError(f"--noise must be >= 0 and finite, got {args.noise}")
+        if args.frames is not None and args.frames < 1:
+            raise UsageError(f"--frames must be at least 1, got {args.frames}")
         script = evenly_spaced_script(
             n_blinks=args.blinks,
             fps=args.fps,
@@ -579,13 +577,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

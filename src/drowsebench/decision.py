@@ -160,8 +160,8 @@ class Rates:
 
 def cost(rates: Rates, w_fn: float = DEFAULT_W_FN, w_fp: float = DEFAULT_W_FP) -> float:
     """Weighted misclassification cost ``w_fn * fnr + w_fp * fpr``."""
-    if w_fn < 0 or w_fp < 0:
-        raise ValueError(f"weights must be non-negative, got w_fn={w_fn}, w_fp={w_fp}")
+    if not (0 <= w_fn < math.inf and 0 <= w_fp < math.inf):
+        raise ValueError(f"weights must be non-negative and finite, got w_fn={w_fn}, w_fp={w_fp}")
     return w_fn * rates.fnr + w_fp * rates.fpr
 
 

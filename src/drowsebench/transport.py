@@ -120,22 +120,24 @@ def raw_bandwidth(width: int, height: int, bits_per_pixel: int, fps: float) -> i
 
 
 class EchoServer:
-    """Threaded TCP server that echoes frames back in arrival order.
+    """TCP server that echoes frames back in arrival order.
 
-    Each connection gets its own handler thread, so one connection's
-    replies are serialized while multiple connections run concurrently.
-    A frame is not decoded: its header is checked, and the received bytes
-    go back with the msg_type set to ECHO and the trailer appended.
-    Malformed messages, and messages other than frames, are logged and
-    drop the connection.
+    ``serve_forever()`` accepts connections in the thread that calls it
+    until ``stop()``; ``with EchoServer() as server:`` runs it on a
+    background thread instead.  Each connection gets its own handler
+    thread, so one connection's replies are serialized while multiple
+    connections run concurrently.  A frame is not decoded: its header is
+    checked, and the received bytes go back with the msg_type set to ECHO
+    and the trailer appended.  Malformed messages, and messages other than
+    frames, are logged and drop the connection.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._listener = socket.create_server((host, port))
-        # closing the listener does not wake a blocked accept(), so poll
+        # poll: closing the listener does not wake a blocked accept(), and
+        # a signal caught by another thread is handled only between polls
         self._listener.settimeout(0.25)
-        self._stopping = threading.Event()
-        self._accept_thread: threading.Thread | None = None
+        self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
         self._conns: set[socket.socket] = set()
 
@@ -144,15 +146,9 @@ class EchoServer:
         name = self._listener.getsockname()
         return name[0], name[1]
 
-    def start(self) -> "EchoServer":
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="echo-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
+    def serve_forever(self) -> None:
+        """Accept connections until ``stop()`` closes the listener."""
+        while True:
             try:
                 conn, peer = self._listener.accept()
             except TimeoutError:
@@ -186,8 +182,10 @@ class EchoServer:
             conn.close()
 
     def stop(self) -> None:
-        self._stopping.set()
+        """Close the listener, wait for the serving loop, then shut every connection."""
         self._listener.close()
+        if self._thread is not None:  # no connection is added once it has ended
+            self._thread.join(timeout=5.0)
         with self._lock:
             conns = list(self._conns)
         for conn in conns:
@@ -196,26 +194,27 @@ class EchoServer:
             except OSError:
                 pass
             conn.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
 
     def __enter__(self) -> "EchoServer":
-        return self.start()
+        self._thread = threading.Thread(
+            target=self.serve_forever, name="echo-accept", daemon=True
+        )
+        self._thread.start()
+        return self
 
     def __exit__(self, *exc) -> None:
         self.stop()
 
 
 def run_echo_server(host: str, port: int) -> None:
-    """Serve echoes on (host, port) until interrupted."""
+    """Serve echoes on (host, port) in the calling thread until interrupted."""
     server = EchoServer(host, port)
     try:
-        server.start()
         bound = server.address
         # flushed, so a parent reading a pipe learns the port; a SIGINT
         # as soon as the port is known still stops the server cleanly
         print(f"echo server listening on {bound[0]}:{bound[1]}", flush=True)
-        threading.Event().wait()
+        server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:

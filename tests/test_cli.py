@@ -17,6 +17,7 @@ from drowsebench.cli import main
 from drowsebench.decision import Label, ScoredSequence
 from drowsebench.decision import read_scores_csv, write_scores_csv
 from drowsebench.pipeline import TimingRecord, read_timings_csv, write_timings_csv
+from drowsebench.protocol import FrameMessage, MessageType, PixelFormat, encode_frame, read_frame
 from drowsebench.transport import RoundTripRecord, read_rtt_csv, write_rtt_csv
 
 MEAN_STD = re.compile(r"\d+\.\d{3} ± \d+\.\d{3}")
@@ -76,6 +77,8 @@ class TestUsageErrors:
             ["optimize", "--scores", "x.csv", "--w-fp", "inf"],
             ["detect", "--in", "x.csv", "--close-threshold", "nan", "--min-closed-frames", "1"],
             ["detect", "--in", "x.csv", "--close-threshold", "inf", "--min-closed-frames", "1"],
+            ["gen", "ear", "--blinks", "1", "--frames", "0", "--out", "x.csv"],
+            ["gen", "ear", "--blinks", "1", "--frames", "-5", "--out", "x.csv"],
         ],
     )
     def test_exit_code_1(self, argv, capsys):
@@ -707,7 +710,13 @@ def test_module_entry_point():
     assert "usage" in proc.stdout
 
 
-def test_echo_server_announces_its_port_through_a_pipe():
+@pytest.mark.parametrize("live", [False, True], ids=["closed", "live"])
+def test_echo_server_announces_its_port_through_a_pipe(live):
+    """SIGINT stops the server, also while a handler thread is blocked in recv.
+
+    With ``live`` the client's connection stays open across the SIGINT,
+    and the server's shutdown closes it.
+    """
     env = package_env()
     env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered
     proc = subprocess.Popen(
@@ -725,10 +734,17 @@ def test_echo_server_announces_its_port_through_a_pipe():
         line = proc.stdout.readline()
         match = re.fullmatch(r"echo server listening on 127\.0\.0\.1:(\d+)\n", line)
         assert match, line
-        with socket.create_connection(("127.0.0.1", int(match.group(1))), timeout=5):
-            pass
-        proc.send_signal(signal.SIGINT)
-        assert proc.wait(timeout=5) == 0
+        with socket.create_connection(("127.0.0.1", int(match.group(1))), timeout=5) as client:
+            if live:  # an echo shows a handler thread serves the connection
+                client.sendall(encode_frame(FrameMessage(
+                    MessageType.FRAME, 1, 0, 2, 1, PixelFormat.RGB24, bytes(6))))
+                assert read_frame(client).msg_type == MessageType.ECHO
+            else:
+                client.close()
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=5) == 0
+            if live:
+                assert client.recv(1) == b""
     finally:
         if proc.poll() is None:
             proc.kill()

@@ -182,6 +182,27 @@ class TestCost:
         with pytest.raises(ValueError):
             cost(rates_for(0.1, 0.2), w_fn=-1.0)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["w_fn", "w_fp"])
+    def test_non_finite_weights_rejected(self, name, weight):
+        # a NaN cost would make every threshold tie, so min would keep the first
+        with pytest.raises(ValueError, match="weights must be non-negative and finite"):
+            cost(rates_for(0.1, 0.2), **{name: weight})
+
+
+@pytest.mark.parametrize("weights", [{"w_fn": math.nan}, {"w_fp": math.inf}, {"w_fn": -1.0}])
+def test_every_cost_caller_rejects_bad_weights(weights):
+    data = gen_score_dataset(ScoreDatasetSpec(50, 50, seed=1))
+    assert optimize_threshold(data)[0] == pytest.approx(14 / 3)
+    calls = [
+        lambda: sweep(data, **weights),
+        lambda: optimize_threshold(data, **weights),
+        lambda: compare_to_default(data, 14 / 3, **weights),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="weights must be non-negative and finite"):
+            call()
+
 
 class TestSweep:
     def test_covers_grid_in_order(self):
