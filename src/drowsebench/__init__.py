@@ -9,7 +9,7 @@ Modules:
     decision   threshold optimization and weighted ensemble voting
     synth      seeded generators for EAR traces and score datasets
     report     fixed-width report tables, the population std, the CSV
-               row reader and writer
+               readers and writer
     cli        the ``drowsebench`` command-line front end
 """
 
@@ -20,6 +20,7 @@ from .blink import (  # noqa: F401
     BlinkDetectionConfig,
     BlinkFeatures,
     EarSample,
+    EarSeries,
     detect_blinks,
     extract_all_features,
 )

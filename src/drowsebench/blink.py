@@ -15,13 +15,15 @@ duration and recent frequency.
 from __future__ import annotations
 
 import math
+import operator
 import statistics
+from bisect import bisect_left
 from collections import deque
 from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .report import iter_csv, write_csv
+from .report import read_columns, write_csv
 
 EAR_CSV_HEADER = ["frame_id", "ts_us", "ear"]
 FEATURES_CSV_HEADER = ["blink_id", "amplitude", "velocity", "duration_s", "freq_per_min"]
@@ -36,6 +38,36 @@ class EarSample:
     def __post_init__(self):
         if not math.isfinite(self.ear) or self.ear < 0:
             raise ValueError(f"ear must be finite and non-negative, got {self.ear}")
+
+
+@dataclass(frozen=True)
+class EarSeries(Sequence[EarSample]):
+    """An EAR series as three columns; entry k of each is sample k.
+
+    It reads as a sequence of ``EarSample``: ``len(series)``,
+    ``series[k]`` and iteration build the samples from the columns.
+    ``read_ear_csv`` returns one, with frame ids that strictly increase.
+    """
+
+    frame_id: tuple[int, ...]
+    ts_us: tuple[int, ...]
+    ear: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.frame_id)
+
+    def __getitem__(self, k: int) -> EarSample:
+        return EarSample(self.frame_id[k], self.ts_us[k], self.ear[k])
+
+    def __iter__(self):
+        return map(EarSample, self.frame_id, self.ts_us, self.ear)
+
+
+def _columns(series: Sequence[EarSample]) -> tuple[Sequence[int], Sequence[float]]:
+    """The frame-id and EAR columns of a series or of a sequence of samples."""
+    if isinstance(series, EarSeries):
+        return series.frame_id, series.ear
+    return [s.frame_id for s in series], [s.ear for s in series]
 
 
 @dataclass(frozen=True)
@@ -81,7 +113,7 @@ def detect_blinks(
     """
     if not series:
         raise ValueError("empty EAR series")
-    values = [s.ear for s in series]
+    frame_ids, values = _columns(series)
     n = len(values)
 
     blinks: list[Blink] = []
@@ -102,9 +134,9 @@ def detect_blinks(
             baseline = statistics.median(preceding) if preceding else values[start]
             blinks.append(
                 Blink(
-                    start_frame=series[start].frame_id,
-                    apex_frame=series[apex].frame_id,
-                    end_frame=series[end].frame_id,
+                    start_frame=frame_ids[start],
+                    apex_frame=frame_ids[apex],
+                    end_frame=frame_ids[end],
                     min_ear=min_ear,
                     baseline_ear=max(baseline, min_ear),
                 )
@@ -128,25 +160,34 @@ def extract_all_features(
 ) -> list[BlinkFeatures]:
     """Features for a chronological list of blinks from one series.
 
-    Frequency counts the blink itself plus the earlier apexes (at
-    ``frame / fps`` seconds) in the trailing window ``(apex - 60 s, apex]``.
+    The series' frame ids must strictly increase, as ``read_ear_csv``
+    ensures; each blink frame is found by bisection.  Frequency counts
+    the blink itself plus the earlier apexes (at ``frame / fps`` seconds)
+    in the trailing window ``(apex - 60 s, apex]``.
     """
     if not 0 < fps < math.inf:
         raise ValueError(f"fps must be positive and finite, got {fps}")
     for earlier, later in zip(blinks, blinks[1:]):
         if later.apex_frame <= earlier.apex_frame:
             raise ValueError(f"apex_frame {later.apex_frame} does not follow {earlier.apex_frame}")
-    index_of = {s.frame_id: k for k, s in enumerate(series)}
+    frame_ids, ears = _columns(series)
+    if not isinstance(series, EarSeries):
+        for earlier, later in zip(frame_ids, frame_ids[1:]):
+            if later <= earlier:
+                raise ValueError(f"frame_id {later} does not follow {earlier}")
+
+    def index_of(frame: int) -> int:
+        k = bisect_left(frame_ids, frame)
+        if k == len(frame_ids) or frame_ids[k] != frame:
+            raise ValueError(f"blink frame {frame} not present in series")
+        return k
+
     features = []
     window: deque[float] = deque()  # earlier apex times, oldest first
     for blink in blinks:
-        try:
-            start = index_of[blink.start_frame]
-            apex = index_of[blink.apex_frame]
-        except KeyError as exc:
-            raise ValueError(f"blink frame {exc} not present in series") from None
-
-        drops = [series[k].ear - series[k + 1].ear for k in range(start, apex)]
+        start = index_of(blink.start_frame)
+        apex = index_of(blink.apex_frame)
+        drops = [ears[k] - ears[k + 1] for k in range(start, apex)]
         apex_time_s = blink.apex_frame / fps
         while window and window[0] <= apex_time_s - 60.0:
             window.popleft()
@@ -166,19 +207,33 @@ def write_ear_csv(series: Iterable[EarSample], path: str | Path) -> None:
     write_csv(path, EAR_CSV_HEADER, ((s.frame_id, s.ts_us, s.ear) for s in series))
 
 
-def read_ear_csv(path: str | Path) -> list[EarSample]:
-    """EAR samples of a CSV file; ``frame_id`` must increase from row to row."""
-    last_frame_id = None
+def read_ear_csv(path: str | Path) -> EarSeries:
+    """The EAR series of a CSV file; ``frame_id`` must increase from row to row."""
+    last_frame_id = None  # of the rows parsed one by one
 
-    def parse(frame_id: str, ts_us: str, ear: str) -> EarSample:
+    def parse(frame_id: str, ts_us: str, ear: str) -> tuple[int, int, float]:
         nonlocal last_frame_id
         sample = EarSample(int(frame_id), int(ts_us), float(ear))
         if last_frame_id is not None and sample.frame_id <= last_frame_id:
             raise ValueError(f"frame_id {sample.frame_id} does not follow {last_frame_id}")
         last_frame_id = sample.frame_id
-        return sample
+        return sample.frame_id, sample.ts_us, sample.ear
 
-    return list(iter_csv(path, EAR_CSV_HEADER, parse))
+    last_chunk_id = -math.inf  # of the chunks parsed column by column
+
+    def parse_chunk(frame_id: list[str], ts_us: list[str], ear: list[str]) -> tuple[list, ...]:
+        nonlocal last_chunk_id
+        frame_ids = list(map(int, frame_id))
+        ears = list(map(float, ear))
+        # a NaN or an infinity makes the sum NaN or infinite
+        if not (math.isfinite(sum(ears)) and min(ears) >= 0):
+            raise ValueError("an EAR is negative or not finite")
+        if not (last_chunk_id < frame_ids[0] and all(map(operator.lt, frame_ids, frame_ids[1:]))):
+            raise ValueError("frame ids do not increase")
+        last_chunk_id = frame_ids[-1]
+        return frame_ids, list(map(int, ts_us)), ears
+
+    return EarSeries(*map(tuple, read_columns(path, EAR_CSV_HEADER, parse, parse_chunk)))
 
 
 def write_features_csv(features: Iterable[BlinkFeatures], path: str | Path) -> None:

@@ -332,7 +332,7 @@ def cmd_detect(args) -> int:
             f"{feats.freq_per_min:.1f}",
         )
         payload["blinks"].append(
-            {"blink_id": blink_id, **dataclasses.asdict(blink), **dataclasses.asdict(feats)}
+            {"blink_id": blink_id, **vars(blink), **vars(feats)}
         )
     _emit(args, table, payload)
     if args.out:

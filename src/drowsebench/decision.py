@@ -12,7 +12,7 @@ confusion matrix at any threshold off them by bisection.  ``confusion``,
 ``sweep``, ``optimize_threshold`` and ``compare_to_default`` accept a
 tally or a list of sequences; a caller that runs several of them on one
 dataset builds the tally once and passes it to each.
-``read_score_tally`` folds a scores CSV's rows straight into a tally,
+``read_score_tally`` folds a scores CSV's columns straight into a tally,
 with the checks of ``read_scores_csv`` and no ``ScoredSequence`` per row.
 
 Several models vote with weights ``2 * tpr + tnr``; the ensemble says
@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .report import iter_csv, write_csv
+from .report import iter_csv, read_columns, write_csv
 
 SCORES_CSV_HEADER = ["id", "score", "label"]
 CURVE_CSV_HEADER = ["threshold", "fpr", "fnr", "cost"]
@@ -84,17 +86,19 @@ class ScoreTally:
 
     A sequence is predicted Drowsy when its score reaches the threshold,
     so the misses are the drowsy scores below it, counted by bisection.
+    ``source`` names where the scores came from in error messages.
     """
 
     drowsy: tuple[float, ...]
     alert: tuple[float, ...]
+    source: object = field(default="dataset", compare=False)
 
     @classmethod
     def sorting(
         cls, drowsy: Iterable[float], alert: Iterable[float], source: object = "dataset"
     ) -> "ScoreTally":
         """Sort each class's scores once; a ``source`` with no scores is degenerate."""
-        tally = cls(drowsy=tuple(sorted(drowsy)), alert=tuple(sorted(alert)))
+        tally = cls(tuple(sorted(drowsy)), tuple(sorted(alert)), source)
         if not tally.drowsy and not tally.alert:
             raise DegenerateDataError(f"{source} holds no scored sequences")
         return tally
@@ -207,7 +211,9 @@ def optimize_threshold(
     tally = _tally(sequences)
     if not tally.drowsy or not tally.alert:
         only = Label.ALERT if tally.alert else Label.DROWSY
-        raise DegenerateDataError(f"dataset holds only {only.name} sequences; need both classes")
+        raise DegenerateDataError(
+            f"{tally.source} holds only {only.name} sequences; need both classes"
+        )
     # min keeps the first of equal costs, and grid thresholds increase
     best = min(sweep(tally, w_fn, w_fp).points, key=lambda point: point.cost)
     return best.threshold, Rates.from_confusion(tally.at(best.threshold))
@@ -334,16 +340,29 @@ def read_scores_csv(path: str | Path) -> list[ScoredSequence]:
     )
 
 
+def _parse_score_chunk(
+    seq_id: list[str], score: list[str], label: list[str]
+) -> tuple[list, list, list]:
+    """A chunk of scores CSV columns, accepting only what ``_parse_score_row`` accepts."""
+    ids = list(map(int, seq_id))
+    scores = list(map(float, score))
+    # a NaN makes the sum NaN; the labels of other spellings take the row path
+    if not (math.isfinite(sum(scores)) and 0.0 <= min(scores) and max(scores) <= 10.0):
+        raise ValueError("a score is outside [0, 10]")
+    if not _LABEL_FIELDS.keys() >= set(label):
+        raise ValueError("a label is not 0 or 10")
+    return ids, scores, list(map(_LABEL_FIELDS.__getitem__, label))
+
+
 def read_score_tally(path: str | Path) -> ScoreTally:
-    """``ScoreTally.of(read_scores_csv(path))``, folded straight from the rows.
+    """``ScoreTally.of(read_scores_csv(path))``, folded straight from the columns.
 
     Same checks and messages as ``read_scores_csv``, with no
     ``ScoredSequence`` built; a file with no rows is degenerate.
     """
-    drowsy: list[float] = []
-    alert: list[float] = []
-    for _, score, label in iter_csv(path, SCORES_CSV_HEADER, _parse_score_row):
-        (drowsy if label is Label.DROWSY else alert).append(score)
+    _, scores, labels = read_columns(path, SCORES_CSV_HEADER, _parse_score_row, _parse_score_chunk)
+    drowsy = compress(scores, map(operator.is_, labels, repeat(Label.DROWSY)))
+    alert = compress(scores, map(operator.is_not, labels, repeat(Label.DROWSY)))
     return ScoreTally.sorting(drowsy, alert, path)
 
 

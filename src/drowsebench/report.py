@@ -1,5 +1,6 @@
 """Fixed-width text tables for benchmark reports, the one population
-standard deviation, and the one CSV row reader and writer."""
+standard deviation, and the one CSV reader (row by row, or column by
+column in chunks) and writer."""
 
 from __future__ import annotations
 
@@ -76,6 +77,99 @@ def iter_csv(path: str | Path, header: list[str], parse: Callable[..., object]) 
                 yield parse(*fields)
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+
+
+_CHUNK_HINT = 1 << 16  # about 64 KiB of whole lines per chunk
+# a quote and a NUL, which csv.reader treats apart, and the line breaks of
+# str.splitlines other than "\n" and "\r" (a "\r" may only end a line, in
+# "\r\n"): csv.reader keeps these inside a field as the split would, but
+# a file that holds one is read row by row rather than rely on that
+_UNCLEAN = '"\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
+
+
+def _split_lines(lines: list[str], width: int) -> list[list[str]] | None:
+    """One list of fields per column of whole CSV lines, or ``None`` unless plainly clean.
+
+    The lines, joined with commas, split into ``width`` fields each, and
+    each line's end must fall in its last field; so every line has
+    ``width - 1`` commas.
+    """
+    end = "\r\n" if lines[0].endswith("\r\n") else "\n"
+    if not lines[-1].endswith("\n"):  # a file's last line may lack its end
+        lines[-1] += end
+    text = ",".join(lines)
+    fields = text.split(",")
+    if len(fields) != width * len(lines):
+        return None
+    last = "".join(fields[width - 1 :: width]).split(end)
+    if len(last) != len(lines) + 1:
+        return None
+    if text.count("\r") != (len(lines) if end == "\r\n" else 0):
+        return None
+    if any(map(text.__contains__, _UNCLEAN)):
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    del last[-1]
+    return [fields[k::width] for k in range(width - 1)] + [last]
+
+
+def _clean_columns(path: str | Path, header: list[str], parse_chunk: Callable) -> list[list] | None:
+    """The columns of plainly clean CSV text, or ``None`` where it is not plainly clean."""
+    head = ",".join(header)
+    columns: list[list] = [[] for _ in header]
+    with open(path, newline="") as fh:
+        # the row path reads the file again, which a pipe cannot give twice
+        if not fh.seekable() or fh.readline() not in (head + "\n", head + "\r\n", head):
+            return None
+        while lines := fh.readlines(_CHUNK_HINT):
+            fields = _split_lines(lines, len(header))
+            if fields is None:  # blank lines are skipped, as by iter_csv
+                lines = [line for line in lines if line not in ("\n", "\r\n")]
+                if not lines:
+                    continue
+                fields = _split_lines(lines, len(header))
+                if fields is None:
+                    return None
+            for column, values in zip(columns, parse_chunk(*fields)):
+                column.extend(values)
+    return columns
+
+
+def read_columns(
+    path: str | Path, header: list[str], parse: Callable[..., tuple], parse_chunk: Callable
+) -> list[list]:
+    """One list of values per column of a CSV file, with the rules of ``iter_csv``.
+
+    Plainly clean text is read in chunks of about 64 KiB of whole lines:
+    the first line is exactly ``header``, there is no quote or NUL, the
+    lines of a chunk all end in ``\\n`` or all in ``\\r\\n``, with no other
+    line-breaking character, each non-blank line has one comma fewer than
+    the header has columns, and no line is longer than
+    ``csv.field_size_limit()``.  Each chunk is split into one list of
+    strings per column, and ``parse_chunk(*columns)`` returns them
+    converted and checked before the next chunk is read, so no string
+    column of the whole file is ever held.
+
+    On anything else, on any ``ValueError`` from ``parse_chunk``, and for
+    a file that cannot seek, such as a pipe, the file is read (again) as
+    ``iter_csv(path, header, parse)``, where ``parse(*fields)`` returns
+    one row's values as a tuple.  That path words every error, so
+    ``parse_chunk`` may reject more than ``parse`` does, but must accept
+    nothing that ``parse`` rejects and convert every field as ``parse``
+    does.
+    """
+    try:
+        columns = _clean_columns(path, header, parse_chunk)
+    except ValueError:
+        columns = None
+    if columns is None:
+        columns = [[] for _ in header]
+        for row in iter_csv(path, header, parse):
+            for column, value in zip(columns, row):
+                column.append(value)
+    return columns
 
 
 # a ratio scaled to at least 2**108 has a root of at least 55 bits: a double's

@@ -256,7 +256,7 @@ class TestCsv:
         series = series_of([0.35, 0.2, 0.1])
         path = tmp_path / "ear.csv"
         write_ear_csv(series, path)
-        assert read_ear_csv(path) == series
+        assert list(read_ear_csv(path)) == series
 
     def test_ear_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"

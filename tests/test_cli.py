@@ -131,13 +131,13 @@ def test_csv_rules(fmt, tmp_path, capsys):
     parsed = records if parsed is None else parsed
     path = tmp_path / f"{fmt}.csv"
     write(records, path)
-    assert read(path) == parsed
+    assert list(read(path)) == parsed
     assert main([*command, str(path)]) == 0
     header, *rows = path.read_text().splitlines()
 
     # blank lines are skipped wherever they are
     path.write_text("\n".join([header, "", rows[0], "", *rows[1:], ""]) + "\n")
-    assert read(path) == parsed
+    assert list(read(path)) == parsed
     assert main([*command, str(path)]) == 0
     capsys.readouterr()
 
@@ -425,6 +425,137 @@ class TestDetect:
         assert captured.out == ""
         assert f"{path} line 22: frame_id 0 does not follow 19" in captured.err
 
+    @pytest.mark.parametrize("first_row", ["0,0,0.3", '"0",0,0.3'])
+    def test_reads_a_pipe(self, capsys, first_row):
+        # a quoted field sends the reader to the row path, which cannot
+        # read a pipe a second time
+        text = f"frame_id,ts_us,ear\n{first_row}\n1,33333,0.1\n2,66667,0.1\n3,100000,0.3\n"
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, text.encode())
+            os.close(write_end)
+            assert main(["detect", "--in", f"/dev/fd/{read_end}"]) == 0
+        finally:
+            os.close(read_end)
+        assert "detect: 1 blinks in 4 samples" in capsys.readouterr().out
+
+
+# SHA-256 of `detect` on `gen ear --blinks 60 --frames 12000 --noise 0.03
+# --seed S` and of `optimize` on `gen scores --alert 2500,3.0,1.8 --drowsy
+# 1500,6.5,1.8 --seed S`: the detect table and --json stdout, its --out
+# features CSV, the optimize --json stdout and its --curve-out CSV.  Both
+# inputs span several 64 KiB read chunks.  A change in parsing, detection,
+# features or the sweep changes them.
+GOLDEN_DETECT_SHA256 = {
+    0: {
+        "table":
+            "6ae744ed2723fa3a39f807c939b9eabf04ab17a06abfc542592099c4d2140f83",
+        "json":
+            "dc6b3f23626442b3d15eb6e71980037082ae9b2ca2739cc2f8d07e0d8c8b3234",
+        "features.csv":
+            "f3407f0c7bb6451757218d9ca75d53f4b7a2bd18bda5ac08b43230ecab00fd3d",
+    },
+    1: {
+        "table":
+            "c077e2717b96c32f3f8324a8a959aef9b742b1b1b1b67767aaf8b7952b2861be",
+        "json":
+            "fca8ef551b94779ab6e6ebb6a174081aa4ffd5a7ef0890e67d930a69b6b4225f",
+        "features.csv":
+            "67ac670404faa85fab499db666c3c6b49aa72fc243492297be6194ee7e0ff79f",
+    },
+    2: {
+        "table":
+            "c2a19bcc825c00e33c620749108855f9d3808560b9537755373d910863c35a3b",
+        "json":
+            "c72e5955c10b85232715a1430618af47a697670d1434e0cc6c1ab6fad190857d",
+        "features.csv":
+            "b1ac9c15a666d732ca05abd51c805ce6a1e03d05ee472f2bf7c4eaa7f86ce152",
+    },
+    3: {
+        "table":
+            "57e0325691bd82fbdcfb94e3082c9b8d91025d03bdfdf7b93dbd2c87e6dc41fd",
+        "json":
+            "e7bc2592f032fcee5f785bc5f0ae19d99e924de100b1743e1cf357ce51a7dbda",
+        "features.csv":
+            "20ac3ce05d4f9033dc42b317d0c61d2ea76bbe1038e3450c1e3d9fb30c93712e",
+    },
+    4: {
+        "table":
+            "6db16ee3bd407edd6c98eb7583f1dca42991fecbcf67bfd305a84539540e09b4",
+        "json":
+            "bbcd1c66a80dc078f1d9c016e6f4bae219eb5adcfff6bacee0f8f92d7f5f5ebf",
+        "features.csv":
+            "8220a8c09fe11dd403063122bc630c065978e49d52f8975502fad201f640ef7a",
+    },
+}
+GOLDEN_OPTIMIZE_SHA256 = {
+    0: {
+        "json":
+            "fe0c7cae7ef8815ac368449496ccc5beee1a2c81a38806f3cf7c5ccd2f9d966b",
+        "curve.csv":
+            "1377421dbc8ea7802912b7dc0e7b8f8297d4a84adfded447541c22b5b346d688",
+    },
+    1: {
+        "json":
+            "4e35d40703f1961a91bafbb62c898ce277ae515547123108d1ab6b99b90a32c6",
+        "curve.csv":
+            "ae265544c618f3dd1be3bb87d51d3726ab38c7331e6ca8c9612eac9c0b4a10ff",
+    },
+    2: {
+        "json":
+            "9f032bcfb32c7ba7c335300b3d9257f26907c706c9fd9fcdb455c23c512183bd",
+        "curve.csv":
+            "fd4aff03786d5714fcd6fb529b648e68a68180b545f71224b8fb4c8bdefb8093",
+    },
+    3: {
+        "json":
+            "491d30cc045bb011467ff8eab72f16f3a313a4f1fc8e2ab37d9ae1264c9215dc",
+        "curve.csv":
+            "424933f2d1cc8adf878f7e90f3da0b4b4e7423160fcbdb60a60c95dcb9a26c74",
+    },
+    4: {
+        "json":
+            "0eb1fbb20443d8bd07bf40275afe92dac3620011e5b091d73db35a8aa6b54c06",
+        "curve.csv":
+            "dcc2e0a028839da03a23ddc9b83936fe967f57a5072e9363fd7bb6bfb9775d22",
+    },
+}
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_detect_output_matches_recorded_digests(tmp_path, capsys, seed):
+    ear = tmp_path / "ear.csv"
+    features = tmp_path / "features.csv"
+    assert main(["gen", "ear", "--blinks", "60", "--frames", "12000", "--noise", "0.03",
+                 "--seed", str(seed), "--out", str(ear)]) == 0
+    capsys.readouterr()
+    digests = {}
+    # the table run has no --out: its "wrote" line would name tmp_path
+    for name, extra in (("table", []), ("json", ["--json", "--out", str(features)])):
+        assert main(["detect", "--in", str(ear), *extra]) == 0
+        digests[name] = sha256(capsys.readouterr().out.encode())
+    digests["features.csv"] = sha256(features.read_bytes())
+    assert digests == GOLDEN_DETECT_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_optimize_output_matches_recorded_digests(tmp_path, capsys, seed):
+    scores = tmp_path / "scores.csv"
+    assert main(["gen", "scores", "--alert", "2500,3.0,1.8", "--drowsy", "1500,6.5,1.8",
+                 "--seed", str(seed), "--out", str(scores)]) == 0
+    capsys.readouterr()
+    assert main(["optimize", "--scores", str(scores), "--json",
+                 "--curve-out", str(tmp_path / "curve")]) == 0
+    # the report names its input file, which lives under tmp_path
+    out = capsys.readouterr().out.replace(json.dumps(str(scores)), '"scores.csv"')
+    digests = {"json": sha256(out.encode()),
+               "curve.csv": sha256((tmp_path / "curve.csv").read_bytes())}
+    assert digests == GOLDEN_OPTIMIZE_SHA256[seed]
+
 
 class TestGen:
     def test_ear_is_reproducible(self, tmp_path, capsys):
@@ -521,6 +652,18 @@ class TestOptimize:
             [ScoredSequence(id=i, score=1.0, label=Label.ALERT) for i in range(5)], path
         )
         assert main(["optimize", "--scores", str(path)]) == 3
+
+    def test_single_class_error_names_the_file(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        write_skewed_scores(good)
+        bad = tmp_path / "drowsy-only.csv"
+        write_scores_csv(
+            [ScoredSequence(id=i, score=8.0, label=Label.DROWSY) for i in range(5)], bad
+        )
+        assert main(["optimize", "--scores", str(good), "--scores", str(bad)]) == 3
+        assert capsys.readouterr().err == (
+            f"degenerate data: {bad} holds only DROWSY sequences; need both classes\n"
+        )
 
     def test_missing_file(self):
         assert main(["optimize", "--scores", "/no/such/scores.csv"]) == 2

@@ -7,11 +7,9 @@ from pathlib import Path
 import drowsebench
 
 
-def test_package_imports_only_the_standard_library():
-    modules = sorted(Path(drowsebench.__file__).parent.glob("*.py"))
-    assert modules
-    foreign = []
-    for path in modules:
+def absolute_imports():
+    """``(file name, line, module name)`` of each absolute import in the package."""
+    for path in sorted(Path(drowsebench.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -19,12 +17,26 @@ def test_package_imports_only_the_standard_library():
                 names = [node.module]
             else:
                 continue
-            foreign += [
-                f"{path.name}:{node.lineno} {name}"
-                for name in names
-                if name.partition(".")[0] not in sys.stdlib_module_names
-            ]
+            for name in names:
+                yield path.name, node.lineno, name
+
+
+def test_package_imports_only_the_standard_library():
+    imports = list(absolute_imports())
+    assert imports
+    foreign = [
+        f"{file}:{line} {name}"
+        for file, line, name in imports
+        if name.partition(".")[0] not in sys.stdlib_module_names
+    ]
     assert foreign == []
+
+
+def test_only_report_imports_csv():
+    # report.read_columns, iter_csv and write_csv are the package's one CSV
+    # reader and writer; a module that imports csv itself starts a second one
+    importers = {file for file, _, name in absolute_imports() if name.partition(".")[0] == "csv"}
+    assert importers == {"report.py"}
 
 
 def test_modules_import_no_private_name_from_a_sibling():

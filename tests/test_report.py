@@ -1,11 +1,22 @@
+import csv
 import math
+import re
 import statistics
 import sys
 from fractions import Fraction
 
 import pytest
 
-from drowsebench.report import pstdev
+from drowsebench import report
+from drowsebench.blink import EAR_CSV_HEADER, EarSample, read_ear_csv
+from drowsebench.decision import (
+    SCORES_CSV_HEADER,
+    Label,
+    ScoreTally,
+    read_score_tally,
+    read_scores_csv,
+)
+from drowsebench.report import iter_csv, pstdev, read_columns
 
 
 def _check_pstdev(oracle):
@@ -72,3 +83,238 @@ def test_pstdev_keeps_ints_exact():
 def test_pstdev_of_nothing_raises():
     with pytest.raises(ValueError, match="at least one value"):
         pstdev([])
+
+
+# ---- the chunked column reader against the row reader it must match ----
+
+
+def outcome(read, path):
+    """What ``read(path)`` returns, or the type and message of what it raises."""
+    try:
+        return read(path)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+def ear_rows(path):
+    """The EAR CSV rules row by row, as ``read_ear_csv`` applied them before columns."""
+    last = None
+
+    def parse(frame_id, ts_us, ear):
+        nonlocal last
+        sample = EarSample(int(frame_id), int(ts_us), float(ear))
+        if last is not None and sample.frame_id <= last:
+            raise ValueError(f"frame_id {sample.frame_id} does not follow {last}")
+        last = sample.frame_id
+        return sample
+
+    return list(iter_csv(path, EAR_CSV_HEADER, parse))
+
+
+def score_rows_tally(path):
+    sequences = read_scores_csv(path)
+    return ScoreTally.sorting([s.score for s in sequences if s.label is Label.DROWSY],
+                              [s.score for s in sequences if s.label is not Label.DROWSY], path)
+
+
+def fields_of(*fields):
+    return fields
+
+
+def string_columns(path):
+    return read_columns(path, ["a", "b", "c"], fields_of, fields_of)
+
+
+def csv_string_columns(path):
+    columns = [[], [], []]
+    for row in iter_csv(path, ["a", "b", "c"], fields_of):
+        for column, field in zip(columns, row):
+            column.append(field)
+    return columns
+
+
+# misaligned rows whose fields add up; a row twice as wide; a "\r\n" line
+# among "\n" lines; a quoted field; a NaN or infinity after a finite value
+SPLIT_TRAPS = ["a,b,c\nx,y,z,w\np,q\n", "a,b,c\nx,y,z,u,v,w\n", "a,b,c\nx,y,z\np,q,r\r\n",
+               'a,b,c\n"x",y,z\n', "a,b,c\r\nx,y,z\r\np,q,r\rs,t,u\r\n", "a,b,c\nx,y,z\x0c\n"]
+
+# format: header, a valid row from (k, x), field values to try, the reader,
+# its row-by-row oracle, and texts that every run tries
+READERS = {
+    "ear": (
+        EAR_CSV_HEADER,
+        lambda k, x: [str(3 * k + 1), str(33333 * k), repr(x)],
+        ["nan", "inf", "-inf", "-0.1", "-0.0", "0", " 0.3", "0.3 ", '"0.3"', '"0,3"', "1_0",
+         "", "x", "+5", "٣", "1e-3", "0.3\x00", "5\x0c", "0", "-3", "2"],
+        lambda path: list(read_ear_csv(path)),
+        ear_rows,
+        ["frame_id,ts_us,ear\n0,0,0.3\n1,1,inf\n", "frame_id,ts_us,ear\n0,0,0.3\n1,1,nan\n",
+         "frame_id,ts_us,ear\n0,0,0.3\n1,1,-0.1\n", "frame_id,ts_us,ear\n5,0,0.3\n5,1,0.3\n"],
+    ),
+    "scores": (
+        SCORES_CSV_HEADER,
+        lambda k, x: [str(k), repr(10 * x), "10" if k % 3 else "0"],
+        ["+10", "010", "5", " 10", "10.0", "0", "10", "-0", "nan", "inf", "11", "-1", "1e1",
+         '"7"', "", "x", "٣", "3\x00", "10\x0c", "7\x85"],
+        read_score_tally,
+        score_rows_tally,
+        ["id,score,label\n0,0.5,0\n1,nan,10\n", "id,score,label\n0,0.5,0\n1,11,10\n",
+         "id,score,label\n0,0.5,0\n1,0.5,+10\n"],
+    ),
+    "fields": (
+        ["a", "b", "c"],
+        lambda k, x: [f"a{k}", str(x), "c"],
+        ['"x"', '"x,y"', 'x"y', '""', "", " ", "x\x00", "x\x0c", "x\rb", "x\nb", "x\r\n",
+         "\u2028", "\x85", "\x1d", "x\x0b"],
+        string_columns,
+        csv_string_columns,
+        SPLIT_TRAPS,
+    ),
+}
+
+HEADER_VARIANTS = ['"{0}",{1},{2}', "{0},{1}", "{0},{1},{2},", "{0},{1},{2} ", "\ufeff{0},{1},{2}",
+                   "{0}, {1},{2}", "{0},{1},{2}\x00", ""]
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85", " ", "\r\r\n", "\n\n"]
+
+
+def mutated_csv(header, row_of, pool):
+    """Strategy: the text of a valid CSV file with a few defects or oddities."""
+    st = pytest.importorskip("hypothesis.strategies")
+    index = st.integers(0, 39)
+    edits = st.one_of(
+        st.tuples(st.just("field"), index, st.integers(0, 2), st.sampled_from(pool)),
+        st.tuples(st.just("short"), index),
+        st.tuples(st.just("long"), index),
+        st.tuples(st.just("wide"), index),
+        st.tuples(st.just("blank"), index),
+        st.tuples(st.just("repeat_id"), index),
+        st.tuples(st.just("header"), st.sampled_from(HEADER_VARIANTS)),
+        st.tuples(st.just("end"), index, st.sampled_from(LINE_ENDS)),
+    )
+
+    @st.composite
+    def text(draw):
+        values = draw(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=40))
+        rows = [row_of(k, x) for k, x in enumerate(values)]
+        head = ",".join(header)
+        end = draw(st.sampled_from(["\n", "\r\n"]))
+        ends = [end] * len(rows)
+        for edit in draw(st.lists(edits, max_size=4)):
+            kind, *args = edit
+            if kind == "header":
+                head = args[0].format(*header)
+                continue
+            if not rows:
+                continue
+            k = args[0] % len(rows)
+            if kind == "field" and args[1] < len(rows[k]):
+                rows[k][args[1]] = args[2]
+            elif kind == "short":
+                rows[k] = rows[k][:-1]
+            elif kind == "long":
+                rows[k] = rows[k] + ["7"]
+            elif kind == "wide":  # as many fields again
+                rows[k] = rows[k] + ["7"] * len(header)
+            elif kind == "blank":
+                rows.insert(k, [])
+                ends.insert(k, end)
+            elif kind == "repeat_id" and k and rows[k] and rows[k - 1]:
+                rows[k][0] = rows[k - 1][0]
+            elif kind == "end":
+                ends[k] = args[1]
+        body = "".join(",".join(row) + e for row, e in zip(rows, ends))
+        if draw(st.booleans()):  # no line end after the last line
+            body = body.removesuffix(ends[-1]) if rows else body
+        return head + end + body
+
+    return text()
+
+
+@pytest.mark.parametrize("fmt", sorted(READERS))
+def test_column_reader_matches_row_reader_on_mutated_files(fmt, tmp_path):
+    # "fields" reads every field as its string, so it compares the split
+    # itself with csv.reader's; "ear" and "scores" add each format's checks
+    hypothesis = pytest.importorskip("hypothesis")
+    header, row_of, pool, read, oracle, traps = READERS[fmt]
+    path = tmp_path / f"{fmt}.csv"
+
+    @hypothesis.settings(max_examples=500, deadline=None,
+                         suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(mutated_csv(header, row_of, pool))
+    def check(text):
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert outcome(read, path) == outcome(oracle, path)
+
+    for text in traps:
+        check = hypothesis.example(text)(check)
+    check()
+
+
+def write_ear_text(path, rows, end="\r\n", last_end=True):
+    with open(path, "w", newline="") as fh:
+        fh.write(end.join([",".join(EAR_CSV_HEADER), *rows]) + (end if last_end else ""))
+
+
+def ear_lines(n):
+    return [f"{k},{33333 * k},{0.3 - (k % 7) / 100!r}" for k in range(n)]
+
+
+@pytest.fixture
+def no_row_reader(monkeypatch):
+    """Fail the test if the reader falls back to the row-by-row path."""
+    def fail(*args):
+        raise AssertionError("read the file row by row")
+
+    monkeypatch.setattr(report, "iter_csv", fail)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_plainly_clean_files_are_read_in_chunks(tmp_path, no_row_reader, end):
+    path = tmp_path / "ear.csv"
+    rows = ear_lines(9000)
+    # blank lines are skipped, and the last line may lack its end
+    write_ear_text(path, rows[:10] + ["", ""] + rows[10:], end, last_end=False)
+    series = read_ear_csv(path)
+    assert len(series) == 9000
+    assert series.frame_id[-1] == 8999 and series.ear[-1] == 0.3 - (8999 % 7) / 100
+    scores = tmp_path / "scores.csv"
+    with open(scores, "w", newline="") as fh:
+        fh.write(end.join(["id,score,label", "0,2.5,0", "1,7.5,10", "2,6.0,10"]) + end)
+    assert read_score_tally(scores) == ScoreTally((6.0, 7.5), (2.5,))
+
+
+def test_frame_id_decrease_across_a_chunk_boundary_names_its_line(tmp_path):
+    path = tmp_path / "ear.csv"
+    rows = ear_lines(9000)
+    write_ear_text(path, rows)
+    with open(path, newline="") as fh:
+        fh.readline()
+        first_chunk = len(fh.readlines(report._CHUNK_HINT))
+    assert first_chunk < len(rows)
+    # the first row of the second chunk repeats the last frame id of the first
+    rows[first_chunk] = rows[first_chunk - 1]
+    write_ear_text(path, rows)
+    k = first_chunk - 1
+    with pytest.raises(ValueError) as raised:
+        read_ear_csv(path)
+    assert str(raised.value) == f"{path} line {first_chunk + 2}: frame_id {k} does not follow {k}"
+    assert outcome(lambda p: list(read_ear_csv(p)), path) == outcome(ear_rows, path)
+
+
+def test_field_longer_than_the_csv_limit(tmp_path):
+    path = tmp_path / "ear.csv"
+    limit = csv.field_size_limit()
+    write_ear_text(path, ["0,0,0.3", "1,33333,0." + "3" * limit, "2,66667,0.3"])
+    with pytest.raises(ValueError) as raised:
+        read_ear_csv(path)
+    assert str(raised.value) == f"{path} line 3: field larger than field limit ({limit})"
+    assert outcome(lambda p: list(read_ear_csv(p)), path) == outcome(ear_rows, path)
+
+
+def test_nul_byte(tmp_path):
+    path = tmp_path / "ear.csv"
+    write_ear_text(path, ["0,0,0.3", "1,33333,0.3\x00", "2,66667,0.3"])
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path} line 3: ")):
+        read_ear_csv(path)
+    assert outcome(lambda p: list(read_ear_csv(p)), path) == outcome(ear_rows, path)
