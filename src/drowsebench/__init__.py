@@ -34,7 +34,6 @@ from .decision import (  # noqa: F401
     ThresholdCurve,
     VoteResult,
     compare_to_default,
-    confusion,
     cost,
     model_weight,
     optimize_threshold,

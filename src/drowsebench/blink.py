@@ -45,29 +45,39 @@ class EarSeries(Sequence[EarSample]):
     """An EAR series as three columns; entry k of each is sample k.
 
     It reads as a sequence of ``EarSample``: ``len(series)``,
-    ``series[k]`` and iteration build the samples from the columns.
-    ``read_ear_csv`` returns one, with frame ids that strictly increase.
+    ``series[k]`` and iteration build the samples from the columns, and
+    ``series[a:b:c]`` with a positive step is the series of the sliced
+    columns.  ``EarSeries.of`` and ``read_ear_csv`` build one with frame
+    ids that strictly increase.
     """
 
     frame_id: tuple[int, ...]
     ts_us: tuple[int, ...]
     ear: tuple[float, ...]
 
+    @classmethod
+    def of(cls, samples: Iterable[EarSample]) -> "EarSeries":
+        """The series of ``samples``, read once; their frame ids must strictly increase."""
+        samples = list(samples)
+        frame_ids = tuple([s.frame_id for s in samples])
+        for earlier, later in zip(frame_ids, frame_ids[1:]):
+            if later <= earlier:
+                raise ValueError(f"frame_id {later} does not follow {earlier}")
+        return cls(frame_ids, tuple([s.ts_us for s in samples]), tuple([s.ear for s in samples]))
+
     def __len__(self) -> int:
         return len(self.frame_id)
 
-    def __getitem__(self, k: int) -> EarSample:
+    def __getitem__(self, k: int | slice) -> EarSample | EarSeries:
+        if isinstance(k, slice):
+            if k.step is not None and k.step < 0:
+                raise ValueError(f"slice step must be positive to keep frame ids increasing, "
+                                 f"got {k.step}")
+            return EarSeries(self.frame_id[k], self.ts_us[k], self.ear[k])
         return EarSample(self.frame_id[k], self.ts_us[k], self.ear[k])
 
     def __iter__(self):
         return map(EarSample, self.frame_id, self.ts_us, self.ear)
-
-
-def _columns(series: Sequence[EarSample]) -> tuple[Sequence[int], Sequence[float]]:
-    """The frame-id and EAR columns of a series or of a sequence of samples."""
-    if isinstance(series, EarSeries):
-        return series.frame_id, series.ear
-    return [s.frame_id for s in series], [s.ear for s in series]
 
 
 @dataclass(frozen=True)
@@ -102,7 +112,7 @@ class BlinkDetectionConfig:
 
 
 def detect_blinks(
-    series: Sequence[EarSample],
+    series: EarSeries,
     config: BlinkDetectionConfig = BlinkDetectionConfig(),
 ) -> list[Blink]:
     """Find blinks as maximal runs of below-threshold samples.
@@ -113,7 +123,7 @@ def detect_blinks(
     """
     if not series:
         raise ValueError("empty EAR series")
-    frame_ids, values = _columns(series)
+    frame_ids, values = series.frame_id, series.ear
     n = len(values)
 
     blinks: list[Blink] = []
@@ -156,25 +166,21 @@ class BlinkFeatures:
 
 
 def extract_all_features(
-    blinks: Sequence[Blink], series: Sequence[EarSample], fps: float
+    blinks: Sequence[Blink], series: EarSeries, fps: float
 ) -> list[BlinkFeatures]:
     """Features for a chronological list of blinks from one series.
 
-    The series' frame ids must strictly increase, as ``read_ear_csv``
-    ensures; each blink frame is found by bisection.  Frequency counts
-    the blink itself plus the earlier apexes (at ``frame / fps`` seconds)
-    in the trailing window ``(apex - 60 s, apex]``.
+    Each blink frame is found by bisection on the series' strictly
+    increasing frame ids.  Frequency counts the blink itself plus the
+    earlier apexes (at ``frame / fps`` seconds) in the trailing window
+    ``(apex - 60 s, apex]``.
     """
     if not 0 < fps < math.inf:
         raise ValueError(f"fps must be positive and finite, got {fps}")
     for earlier, later in zip(blinks, blinks[1:]):
         if later.apex_frame <= earlier.apex_frame:
             raise ValueError(f"apex_frame {later.apex_frame} does not follow {earlier.apex_frame}")
-    frame_ids, ears = _columns(series)
-    if not isinstance(series, EarSeries):
-        for earlier, later in zip(frame_ids, frame_ids[1:]):
-            if later <= earlier:
-                raise ValueError(f"frame_id {later} does not follow {earlier}")
+    frame_ids, ears = series.frame_id, series.ear
 
     def index_of(frame: int) -> int:
         k = bisect_left(frame_ids, frame)
@@ -203,8 +209,8 @@ def extract_all_features(
     return features
 
 
-def write_ear_csv(series: Iterable[EarSample], path: str | Path) -> None:
-    write_csv(path, EAR_CSV_HEADER, ((s.frame_id, s.ts_us, s.ear) for s in series))
+def write_ear_csv(series: EarSeries, path: str | Path) -> None:
+    write_csv(path, EAR_CSV_HEADER, zip(series.frame_id, series.ts_us, series.ear))
 
 
 def read_ear_csv(path: str | Path) -> EarSeries:

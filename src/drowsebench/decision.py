@@ -8,12 +8,12 @@ alarm, thresholds are picked by minimizing a weighted cost
 thresholds from 10/3 to 10 in steps of 1/3.
 
 A ``ScoreTally`` sorts each class's scores once and reads the
-confusion matrix at any threshold off them by bisection.  ``confusion``,
-``sweep``, ``optimize_threshold`` and ``compare_to_default`` accept a
-tally or a list of sequences; a caller that runs several of them on one
-dataset builds the tally once and passes it to each.
-``read_score_tally`` folds a scores CSV's columns straight into a tally,
-with the checks of ``read_scores_csv`` and no ``ScoredSequence`` per row.
+confusion matrix at any threshold off them by bisection.  ``sweep``,
+``optimize_threshold`` and ``compare_to_default`` take a tally, so
+several of them on one dataset share one sort.  ``ScoreTally.of``
+builds it from scored sequences; ``read_score_tally`` folds a scores
+CSV's columns straight into one, with the checks of ``read_scores_csv``
+and no ``ScoredSequence`` per row.
 
 Several models vote with weights ``2 * tpr + tnr``; the ensemble says
 Drowsy when the weighted share of Drowsy votes exceeds one half.
@@ -104,30 +104,21 @@ class ScoreTally:
         return tally
 
     @classmethod
-    def of(cls, sequences: Sequence[ScoredSequence]) -> "ScoreTally":
-        """Sort a dataset's drowsy and alert scores; an empty dataset is degenerate."""
-        return cls.sorting(
-            (seq.score for seq in sequences if seq.label is Label.DROWSY),
-            (seq.score for seq in sequences if seq.label is not Label.DROWSY),
-        )
+    def of(cls, sequences: Iterable[ScoredSequence]) -> "ScoreTally":
+        """Sort a dataset's drowsy and alert scores, read once; an empty one is degenerate."""
+        drowsy: list[float] = []
+        alert: list[float] = []
+        for seq in sequences:
+            (drowsy if seq.label is Label.DROWSY else alert).append(seq.score)
+        return cls.sorting(drowsy, alert)
 
     def at(self, threshold: float) -> ConfusionMatrix:
+        """Tally predictions at a threshold; Drowsy is the positive class."""
         if math.isnan(threshold):
             raise ValueError("threshold must not be NaN")
         fn = bisect_left(self.drowsy, threshold)
         tn = bisect_left(self.alert, threshold)
         return ConfusionMatrix(tp=len(self.drowsy) - fn, fp=len(self.alert) - tn, tn=tn, fn=fn)
-
-
-def _tally(sequences: Sequence[ScoredSequence] | ScoreTally) -> ScoreTally:
-    return sequences if isinstance(sequences, ScoreTally) else ScoreTally.of(sequences)
-
-
-def confusion(
-    sequences: Sequence[ScoredSequence] | ScoreTally, threshold: float
-) -> ConfusionMatrix:
-    """Tally predictions at a threshold; Drowsy is the positive class."""
-    return _tally(sequences).at(threshold)
 
 
 @dataclass(frozen=True)
@@ -189,26 +180,20 @@ class ThresholdCurve:
 
 
 def sweep(
-    sequences: Sequence[ScoredSequence] | ScoreTally,
-    w_fn: float = DEFAULT_W_FN,
-    w_fp: float = DEFAULT_W_FP,
+    tally: ScoreTally, w_fn: float = DEFAULT_W_FN, w_fp: float = DEFAULT_W_FP
 ) -> ThresholdCurve:
     """Evaluate rates and cost at every grid threshold, in grid order."""
-    tally = _tally(sequences)
     return ThresholdCurve(tuple(_point(tally, t, w_fn, w_fp) for t in threshold_grid()))
 
 
 def optimize_threshold(
-    sequences: Sequence[ScoredSequence] | ScoreTally,
-    w_fn: float = DEFAULT_W_FN,
-    w_fp: float = DEFAULT_W_FP,
+    tally: ScoreTally, w_fn: float = DEFAULT_W_FN, w_fp: float = DEFAULT_W_FP
 ) -> tuple[float, Rates]:
     """Smallest grid threshold with minimal cost, plus its rates.
 
     Requires both classes in the dataset; otherwise one error rate is
     vacuous and every threshold ties.
     """
-    tally = _tally(sequences)
     if not tally.drowsy or not tally.alert:
         only = Label.ALERT if tally.alert else Label.DROWSY
         raise DegenerateDataError(
@@ -237,13 +222,12 @@ class ThresholdComparison:
 
 
 def compare_to_default(
-    sequences: Sequence[ScoredSequence] | ScoreTally,
+    tally: ScoreTally,
     optimal_threshold: float,
     w_fn: float = DEFAULT_W_FN,
     w_fp: float = DEFAULT_W_FP,
 ) -> ThresholdComparison:
     """Rates and cost at ``optimal_threshold`` against ``DEFAULT_THRESHOLD``."""
-    tally = _tally(sequences)
     opt = _point(tally, optimal_threshold, w_fn, w_fp)
     dft = _point(tally, DEFAULT_THRESHOLD, w_fn, w_fp)
     return ThresholdComparison(

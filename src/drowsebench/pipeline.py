@@ -18,8 +18,8 @@ stage time in one batch, with the Box-Muller pairs ``random.gauss``
 forms, so the draws equal sequential ``gauss`` calls; it runs the
 recursion over plain lists and keeps the four timestamp columns in the
 ``SessionTrace``.  ``SessionTrace.records`` builds the per-frame
-``TimingRecord`` tuple on first access, and ``summarize_timings`` reads
-the columns of a trace directly.
+``TimingRecord`` tuple on first access; ``summarize_timings`` takes a
+trace and reads its columns.
 
 Timing summaries are the mean and the population standard deviation
 (``report.pstdev``, correctly rounded; on Python 3.11+ it equals
@@ -251,19 +251,12 @@ def _durations_ms(begin: Iterable[float], end: Iterable[float]) -> list[float]:
     return [(e - b) / 1000.0 for b, e in zip(begin, end)]
 
 
-def summarize_timings(timings: SessionTrace | Iterable[TimingRecord]) -> TimingSummary:
-    """Per-stage and total duration statistics of a trace or of timing records."""
-    if isinstance(timings, SessionTrace):
-        recv = timings.recv_ts_us
-        face = timings.face_done_ts_us
-        landmark = timings.landmark_done_ts_us
-        blink = timings.blink_done_ts_us
-    else:
-        records = list(timings)
-        recv = [r.recv_ts_us for r in records]
-        face = [r.face_done_ts_us for r in records]
-        landmark = [r.landmark_done_ts_us for r in records]
-        blink = [r.blink_done_ts_us for r in records]
+def summarize_timings(trace: SessionTrace) -> TimingSummary:
+    """Per-stage and total duration statistics of a trace's frames."""
+    recv = trace.recv_ts_us
+    face = trace.face_done_ts_us
+    landmark = trace.landmark_done_ts_us
+    blink = trace.blink_done_ts_us
     if not recv:
         raise ValueError("no records to summarize")
     return TimingSummary(

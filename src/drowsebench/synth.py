@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .blink import Blink, EarSample
+from .blink import Blink, EarSample, EarSeries
 from .decision import Label, ScoredSequence
 
 
@@ -39,6 +39,8 @@ class ScriptedBlink:
             raise ValueError(f"closed_frames must be >= 1, got {self.closed_frames}")
         if self.descent_frames < 1:
             raise ValueError(f"descent_frames must be >= 1, got {self.descent_frames}")
+        if not self.baseline_ear < math.inf:
+            raise ValueError(f"baseline_ear must be finite, got {self.baseline_ear}")
         if not 0 <= self.trough_ear < self.baseline_ear:
             raise ValueError(
                 f"need 0 <= trough_ear < baseline_ear, got "
@@ -73,6 +75,8 @@ class BlinkScript:
             raise ValueError(f"total_frames must be >= 1, got {self.total_frames}")
         if not 0 <= self.noise_std < math.inf:
             raise ValueError(f"noise_std must be non-negative and finite, got {self.noise_std}")
+        if not 0 <= self.open_ear < math.inf:
+            raise ValueError(f"open_ear must be non-negative and finite, got {self.open_ear}")
         prev = None
         for blink in self.blinks:
             if prev is not None and blink.onset_frame <= prev.end_frame:
@@ -109,7 +113,7 @@ def _scripted_values(script: BlinkScript) -> list[float]:
     return values
 
 
-def gen_ear_series(script: BlinkScript) -> tuple[list[EarSample], list[Blink]]:
+def gen_ear_series(script: BlinkScript) -> tuple[EarSeries, list[Blink]]:
     """Render a script into an EAR series plus its ground-truth blinks.
 
     With ``noise_std == 0`` the series is exactly the scripted waveform
@@ -120,10 +124,10 @@ def gen_ear_series(script: BlinkScript) -> tuple[list[EarSample], list[Blink]]:
     if script.noise_std > 0:
         rng = random.Random(script.seed)
         values = [max(0.0, v + rng.gauss(0.0, script.noise_std)) for v in values]
-    series = [
+    series = EarSeries.of(
         EarSample(frame_id=k, ts_us=round(k * 1e6 / script.fps), ear=v)
         for k, v in enumerate(values)
-    ]
+    )
     truth = [
         Blink(
             start_frame=b.onset_frame,

@@ -14,6 +14,7 @@ from drowsebench.decision import (
     Label,
     Rates,
     ScoredSequence,
+    ScoreTally,
     compare_to_default,
     cost,
     optimize_threshold,
@@ -101,7 +102,7 @@ def test_03_timing_recovery(profiles_dir):
         for res, profiles in sorted(load_stage_sets(profiles_dir / f"{device}.json").items()):
             trace = simulate_session(30, 15, profiles, seed=seed)  # 450 frames
             seed += 1
-            summary = summarize_timings(trace.records)
+            summary = summarize_timings(trace)
             by_stage = dict(
                 zip(("face", "landmark", "blink"), (summary.face, summary.landmark,
                                                     summary.blink))
@@ -170,8 +171,8 @@ def test_05_percent_change_claims():
         (71, 6.0, Label.DROWSY),
         (886, 7.0, Label.DROWSY),
     )
-    threshold, _ = optimize_threshold(data)
-    cmp = compare_to_default(data, threshold)
+    threshold, _ = optimize_threshold(ScoreTally.of(data))
+    cmp = compare_to_default(ScoreTally.of(data), threshold)
     ok = (
         cmp.fpr_change_pct is not None
         and cmp.fnr_change_pct is not None
@@ -230,7 +231,7 @@ def test_06_optimizer_oracle_equivalence():
     for i, data in enumerate(_score_corpus()):
         oracle_costs = [_manual_cost(data, t) for t in grid]
         oracle_best = min(oracle_costs)
-        threshold, rates = optimize_threshold(data)
+        threshold, rates = optimize_threshold(ScoreTally.of(data))
         got = cost(rates)
         idx = grid.index(threshold)
         if got != oracle_best:
@@ -250,7 +251,7 @@ def test_07_sweep_monotonicity():
     violations = 0
     steps = 0
     for data in _score_corpus():
-        points = sweep(data).points
+        points = sweep(ScoreTally.of(data)).points
         for a, b in zip(points, points[1:]):
             steps += 1
             if b.fpr > a.fpr or b.fnr < a.fnr:

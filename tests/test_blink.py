@@ -9,6 +9,7 @@ from drowsebench.blink import (
     BlinkDetectionConfig,
     BlinkFeatures,
     EarSample,
+    EarSeries,
     detect_blinks,
     extract_all_features,
     read_ear_csv,
@@ -19,14 +20,45 @@ from drowsebench.synth import evenly_spaced_script, gen_ear_series
 
 
 def series_of(values, fps=30.0):
-    return [
+    return EarSeries.of(
         EarSample(frame_id=k, ts_us=round(k * 1e6 / fps), ear=v) for k, v in enumerate(values)
-    ]
+    )
 
 
 def test_negative_ear_sample_rejected():
     with pytest.raises(ValueError):
         EarSample(frame_id=0, ts_us=0, ear=-0.1)
+
+
+class TestEarSeries:
+    def test_of_reads_a_generator_once(self):
+        samples = [EarSample(frame_id=2 * k, ts_us=k, ear=0.1 * k) for k in range(5)]
+        series = EarSeries.of(iter(samples))
+        assert series == EarSeries.of(samples)
+        assert series == EarSeries((0, 2, 4, 6, 8), (0, 1, 2, 3, 4), tuple(s.ear for s in samples))
+        assert list(series) == samples
+        assert EarSeries.of([]) == EarSeries((), (), ())
+
+    @pytest.mark.parametrize("frame_ids", [(0, 1, 1), (0, 2, 1)])
+    def test_of_rejects_frame_ids_that_do_not_increase(self, frame_ids):
+        samples = [EarSample(frame_id=f, ts_us=0, ear=0.3) for f in frame_ids]
+        message = f"^frame_id {frame_ids[2]} does not follow {frame_ids[1]}$"
+        with pytest.raises(ValueError, match=message):
+            EarSeries.of(samples)
+
+    def test_slices_match_the_sliced_samples(self):
+        series = series_of([0.35, 0.3, 0.2, 0.1, 0.15, 0.25, 0.35])
+        bounds = [None, -9, -3, 0, 2, 7, 9]
+        for a in bounds:
+            for b in bounds:
+                for c in [None, 1, 2, 5]:
+                    sliced = series[a:b:c]
+                    assert isinstance(sliced, EarSeries)
+                    assert sliced == EarSeries.of(list(series)[a:b:c])
+        # a reversed series would break the increasing frame ids
+        for step in (-1, -2):
+            with pytest.raises(ValueError, match="keep frame ids increasing"):
+                series[::step]
 
 
 class TestDetectBlinks:
@@ -82,7 +114,7 @@ class TestDetectBlinks:
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
-            detect_blinks([])
+            detect_blinks(EarSeries.of([]))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -228,10 +260,10 @@ class TestExtractFeatures:
                 values += run
             values += draw(st.lists(open_ear, min_size=0 if values else 1, max_size=12))
             first = draw(st.integers(0, 5000))
-            series = [
+            series = EarSeries.of(
                 EarSample(frame_id=first + k, ts_us=round(k * 1e6 / fps), ear=v)
                 for k, v in enumerate(values)
-            ]
+            )
             config = BlinkDetectionConfig(min_closed_frames=draw(st.integers(1, 3)))
             return series, fps, config
 
@@ -256,7 +288,7 @@ class TestCsv:
         series = series_of([0.35, 0.2, 0.1])
         path = tmp_path / "ear.csv"
         write_ear_csv(series, path)
-        assert list(read_ear_csv(path)) == series
+        assert read_ear_csv(path) == series
 
     def test_ear_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import drowsebench
-from drowsebench.blink import EarSample, read_ear_csv, write_ear_csv
+from drowsebench.blink import EarSample, EarSeries, read_ear_csv, write_ear_csv
 from drowsebench.cli import main
 from drowsebench.decision import Label, ScoredSequence
 from drowsebench.decision import read_scores_csv, write_scores_csv
@@ -86,6 +86,7 @@ class TestUsageErrors:
         assert "usage" in capsys.readouterr().err
 
 
+EAR_SAMPLES = [EarSample(k, k * 33333, ear) for k, ear in enumerate([0.3, 0.1, 0.1, 0.3])]
 TIMINGS = [TimingRecord(0, 0.0, 2000.0, 3000.0, 3500.0),
            TimingRecord(1, 33333.0, 35500.0, 36750.0, 37000.0)]
 
@@ -93,9 +94,9 @@ TIMINGS = [TimingRecord(0, 0.0, 2000.0, 3000.0, 3500.0),
 CSV_FORMATS = {
     "ear": (
         write_ear_csv,
-        [EarSample(k, k * 33333, ear) for k, ear in enumerate([0.3, 0.1, 0.1, 0.3])],
+        EarSeries.of(EAR_SAMPLES),
         read_ear_csv,
-        None,
+        EAR_SAMPLES,
         ["detect", "--in"],
     ),
     "scores": (
@@ -448,6 +449,8 @@ class TestDetect:
 # features or the sweep changes them.
 GOLDEN_DETECT_SHA256 = {
     0: {
+        "ear.csv":
+            "9e74b1ab56b6bf675050b4219d1e6406b7739227e54e98ecd96cf85240a16903",
         "table":
             "6ae744ed2723fa3a39f807c939b9eabf04ab17a06abfc542592099c4d2140f83",
         "json":
@@ -456,6 +459,8 @@ GOLDEN_DETECT_SHA256 = {
             "f3407f0c7bb6451757218d9ca75d53f4b7a2bd18bda5ac08b43230ecab00fd3d",
     },
     1: {
+        "ear.csv":
+            "80dbc64cca11dd24877202ce36cf8e25e7d424205a8d548c13f931685790fb79",
         "table":
             "c077e2717b96c32f3f8324a8a959aef9b742b1b1b1b67767aaf8b7952b2861be",
         "json":
@@ -464,6 +469,8 @@ GOLDEN_DETECT_SHA256 = {
             "67ac670404faa85fab499db666c3c6b49aa72fc243492297be6194ee7e0ff79f",
     },
     2: {
+        "ear.csv":
+            "4abffd1188835aa52301d9b0963de6956bf134a2d142f68ae2172e146dd875c2",
         "table":
             "c2a19bcc825c00e33c620749108855f9d3808560b9537755373d910863c35a3b",
         "json":
@@ -472,6 +479,8 @@ GOLDEN_DETECT_SHA256 = {
             "b1ac9c15a666d732ca05abd51c805ce6a1e03d05ee472f2bf7c4eaa7f86ce152",
     },
     3: {
+        "ear.csv":
+            "4bc64879ddb99e2036cdb5cb5e198279483d8f84c882daddd47e888b2ef3bee7",
         "table":
             "57e0325691bd82fbdcfb94e3082c9b8d91025d03bdfdf7b93dbd2c87e6dc41fd",
         "json":
@@ -480,6 +489,8 @@ GOLDEN_DETECT_SHA256 = {
             "20ac3ce05d4f9033dc42b317d0c61d2ea76bbe1038e3450c1e3d9fb30c93712e",
     },
     4: {
+        "ear.csv":
+            "9cb3dcd8b79ede94c44296c138eb3acbd2ca9fede9e498f9786b2dd15da32c49",
         "table":
             "6db16ee3bd407edd6c98eb7583f1dca42991fecbcf67bfd305a84539540e09b4",
         "json":
@@ -533,7 +544,7 @@ def test_detect_output_matches_recorded_digests(tmp_path, capsys, seed):
     assert main(["gen", "ear", "--blinks", "60", "--frames", "12000", "--noise", "0.03",
                  "--seed", str(seed), "--out", str(ear)]) == 0
     capsys.readouterr()
-    digests = {}
+    digests = {"ear.csv": sha256(ear.read_bytes())}
     # the table run has no --out: its "wrote" line would name tmp_path
     for name, extra in (("table", []), ("json", ["--json", "--out", str(features)])):
         assert main(["detect", "--in", str(ear), *extra]) == 0

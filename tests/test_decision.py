@@ -15,7 +15,6 @@ from drowsebench.decision import (
     ScoredSequence,
     ScoreTally,
     compare_to_default,
-    confusion,
     cost,
     model_weight,
     optimize_threshold,
@@ -73,24 +72,29 @@ class TestGrid:
 
 class TestConfusion:
     def test_four_point_tally(self):
-        cm = confusion(FOUR_POINT, 10 / 3)
+        cm = ScoreTally.of(FOUR_POINT).at(10 / 3)
         assert cm == ConfusionMatrix(tp=2, fp=1, tn=1, fn=0)
 
     def test_threshold_is_inclusive(self):
         # the 4.0 alert reaches a 4.0 threshold, so it is a false alarm
-        assert confusion(FOUR_POINT, 4.0) == ConfusionMatrix(tp=2, fp=1, tn=1, fn=0)
-        assert confusion(FOUR_POINT, 3.999) == ConfusionMatrix(tp=2, fp=1, tn=1, fn=0)
-        assert confusion(FOUR_POINT, 4.001) == ConfusionMatrix(tp=2, fp=0, tn=2, fn=0)
+        assert ScoreTally.of(FOUR_POINT).at(4.0) == ConfusionMatrix(tp=2, fp=1, tn=1, fn=0)
+        assert ScoreTally.of(FOUR_POINT).at(3.999) == ConfusionMatrix(tp=2, fp=1, tn=1, fn=0)
+        assert ScoreTally.of(FOUR_POINT).at(4.001) == ConfusionMatrix(tp=2, fp=0, tn=2, fn=0)
         top = dataset((1, 10.0, Label.DROWSY))
-        assert confusion(top, 10.0) == ConfusionMatrix(tp=1, fp=0, tn=0, fn=0)
+        assert ScoreTally.of(top).at(10.0) == ConfusionMatrix(tp=1, fp=0, tn=0, fn=0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            confusion([], 5.0)
+            ScoreTally.of([]).at(5.0)
+
+    def test_tally_reads_a_generator_once(self):
+        data = dataset((5, 2.0, Label.ALERT), (5, 8.0, Label.DROWSY))
+        tally = ScoreTally.of(seq for seq in data)
+        assert tally == ScoreTally.of(data) == ScoreTally((8.0,) * 5, (2.0,) * 5)
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
-            confusion(FOUR_POINT, math.nan)
+            ScoreTally.of(FOUR_POINT).at(math.nan)
 
     def test_tally_matches_brute_force(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -121,8 +125,8 @@ class TestConfusion:
                 pairs = [(score, pairs[0][1]) for score, _ in pairs]
             data = [ScoredSequence(i, score, label) for i, (score, label) in enumerate(pairs)]
             expected = {t: brute(data, t) for t in grid}
-            for given in (data, ScoreTally.of(data)):
-                assert {t: confusion(given, t) for t in grid} == expected
+            for given in (ScoreTally.of(iter(data)), ScoreTally.of(data)):
+                assert {t: given.at(t) for t in grid} == expected
                 for point in sweep(given).points:
                     rates = Rates.from_confusion(expected[point.threshold])
                     assert (point.fpr, point.fnr, point.cost) == (
@@ -192,7 +196,7 @@ class TestCost:
 
 @pytest.mark.parametrize("weights", [{"w_fn": math.nan}, {"w_fp": math.inf}, {"w_fn": -1.0}])
 def test_every_cost_caller_rejects_bad_weights(weights):
-    data = gen_score_dataset(ScoreDatasetSpec(50, 50, seed=1))
+    data = ScoreTally.of(gen_score_dataset(ScoreDatasetSpec(50, 50, seed=1)))
     assert optimize_threshold(data)[0] == pytest.approx(14 / 3)
     calls = [
         lambda: sweep(data, **weights),
@@ -206,12 +210,12 @@ def test_every_cost_caller_rejects_bad_weights(weights):
 
 class TestSweep:
     def test_covers_grid_in_order(self):
-        curve = sweep(FOUR_POINT)
+        curve = sweep(ScoreTally.of(FOUR_POINT))
         assert [p.threshold for p in curve.points] == threshold_grid()
 
     def test_rates_are_monotone_in_threshold(self):
         for data in (FOUR_POINT, SKEWED):
-            points = sweep(data).points
+            points = sweep(ScoreTally.of(data)).points
             for a, b in zip(points, points[1:]):
                 assert b.fpr <= a.fpr
                 assert b.fnr >= a.fnr
@@ -219,33 +223,33 @@ class TestSweep:
 
 class TestOptimize:
     def test_four_point_optimum(self):
-        threshold, rates = optimize_threshold(FOUR_POINT)
+        threshold, rates = optimize_threshold(ScoreTally.of(FOUR_POINT))
         # cost is zero on (4, 6]; the first such grid point wins
         assert threshold == (10 + 3) / 3
         assert (rates.fpr, rates.fnr) == (0.0, 0.0)
 
     def test_all_tie_returns_first_grid_point(self):
         data = dataset((5, 0.0, Label.ALERT), (5, 10.0, Label.DROWSY))
-        threshold, rates = optimize_threshold(data)
+        threshold, rates = optimize_threshold(ScoreTally.of(data))
         assert threshold == 10 / 3
         assert (rates.fpr, rates.fnr) == (0.0, 0.0)
 
     def test_separation_at_grid_top(self):
         # only the last grid point clears alert scores sitting just below 10
         data = dataset((5, 9.9, Label.ALERT), (5, 10.0, Label.DROWSY))
-        threshold, rates = optimize_threshold(data)
+        threshold, rates = optimize_threshold(ScoreTally.of(data))
         assert threshold == 10.0
         assert (rates.fpr, rates.fnr) == (0.0, 0.0)
 
     def test_single_class_is_degenerate(self):
         with pytest.raises(DegenerateDataError):
-            optimize_threshold(dataset((10, 5.0, Label.ALERT)))
+            optimize_threshold(ScoreTally.of(dataset((10, 5.0, Label.ALERT))))
         with pytest.raises(DegenerateDataError):
-            optimize_threshold(dataset((10, 5.0, Label.DROWSY)))
+            optimize_threshold(ScoreTally.of(dataset((10, 5.0, Label.DROWSY))))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            optimize_threshold([])
+            optimize_threshold(ScoreTally.of([]))
 
 
 class TestPercentChange:
@@ -260,9 +264,9 @@ class TestPercentChange:
 
 class TestCompareToDefault:
     def test_skewed_dataset(self):
-        threshold, _ = optimize_threshold(SKEWED)
+        threshold, _ = optimize_threshold(ScoreTally.of(SKEWED))
         assert threshold == pytest.approx(13 / 3)
-        cmp = compare_to_default(SKEWED, threshold)
+        cmp = compare_to_default(ScoreTally.of(SKEWED), threshold)
         assert cmp.optimal.threshold == threshold
         assert cmp.default.threshold == DEFAULT_THRESHOLD
         assert cmp.optimal.fpr == pytest.approx(0.31)
@@ -276,7 +280,7 @@ class TestCompareToDefault:
 
     def test_change_none_when_default_rate_zero(self):
         data = dataset((5, 0.0, Label.ALERT), (5, 10.0, Label.DROWSY))
-        cmp = compare_to_default(data, 10 / 3)
+        cmp = compare_to_default(ScoreTally.of(data), 10 / 3)
         assert cmp.fpr_change_pct is None
         assert cmp.fnr_change_pct is None
 
@@ -408,7 +412,7 @@ class TestSerialization:
 
     def test_curve_csv(self, tmp_path):
         path = tmp_path / "curve.csv"
-        write_curve_csv(sweep(FOUR_POINT), path)
+        write_curve_csv(sweep(ScoreTally.of(FOUR_POINT)), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "threshold,fpr,fnr,cost"
         assert len(lines) == 22

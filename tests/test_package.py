@@ -85,6 +85,26 @@ def test_modules_read_no_private_name_of_the_standard_library():
     assert found == []
 
 
+def test_no_isinstance_fork_on_a_package_class():
+    # each algorithm takes the one type the package builds for it; an
+    # isinstance check against a package class starts a second input path
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(drowsebench.__file__).parent.glob("*.py"))}
+    classes = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    forks = []
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2):
+                continue
+            named = {getattr(n, "id", None) or getattr(n, "attr", None)
+                     for n in ast.walk(node.args[1])}
+            if named & classes:
+                forks.append(f"{file}:{node.lineno}")
+    assert forks == [], "isinstance fork on a package class: " + ", ".join(forks)
+
+
 def test_readme_library_imports_run():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     library = readme.split("\n## Library\n", 1)[1]

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from drowsebench.blink import BlinkDetectionConfig, detect_blinks
-from drowsebench.decision import Label, optimize_threshold
+from drowsebench.decision import Label, ScoreTally, optimize_threshold
 from drowsebench.synth import (
     BlinkScript,
     ScoreDatasetSpec,
@@ -41,6 +41,9 @@ class TestScriptedBlink:
             blink(trough=0.35, baseline=0.35)
         with pytest.raises(ValueError):
             blink(trough=-0.01)
+        for baseline in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^baseline_ear must be finite, got {baseline}"):
+                blink(baseline=baseline)
 
 
 class TestBlinkScript:
@@ -64,6 +67,11 @@ class TestBlinkScript:
             BlinkScript(blinks=(), fps=30, total_frames=0)
         with pytest.raises(ValueError):
             BlinkScript(blinks=(), fps=30, total_frames=10, noise_std=-0.1)
+        for open_ear in (-1.0, math.nan, math.inf):
+            with pytest.raises(
+                ValueError, match=f"^open_ear must be non-negative and finite, got {open_ear}"
+            ):
+                BlinkScript(blinks=(), fps=30, total_frames=10, open_ear=open_ear)
 
     @pytest.mark.parametrize("fps", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_fps(self, fps):
@@ -202,5 +210,5 @@ class TestScoreDataset:
             n_alert=200, n_drowsy=200, alert_mean=2.0, alert_std=0.5,
             drowsy_mean=8.0, drowsy_std=0.5, seed=7,
         )
-        _, rates = optimize_threshold(gen_score_dataset(spec))
+        _, rates = optimize_threshold(ScoreTally.of(gen_score_dataset(spec)))
         assert 2 * rates.fnr + rates.fpr < 0.05
