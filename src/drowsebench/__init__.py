@@ -48,7 +48,6 @@ from .pipeline import (  # noqa: F401
     StabilityVerdict,
     StageName,
     StageProfile,
-    TimingRecord,
     TimingSummary,
     load_stage_sets,
     queue_stability,

@@ -50,13 +50,12 @@ from .decision import (
 )
 from .pipeline import (
     TIMING_CSV_HEADER,
-    StatPair,
+    TimingSummary,
     average_stage_set,
     load_stage_sets,
     queue_stability,
     read_timings_csv,
     simulate_session,
-    stat_pair,
     summarize_timings,
     write_timings_csv,
 )
@@ -152,12 +151,16 @@ def _emit(args, table: ReportTable, payload: dict) -> None:
         print(table.render())
 
 
-TIMING_STAGES = ("face", "landmark", "blink", "total")
+def _stages_json(summary: TimingSummary) -> dict:
+    """``{stage: {"mean_ms", "std_ms"}}`` for face, landmark, blink and total."""
+    stages = dataclasses.asdict(summary)
+    del stages["count"]
+    return stages
 
 
-def _stages_json(stats: list[StatPair]) -> dict:
-    """``{stage: {"mean_ms", "std_ms"}}`` over the ``TIMING_STAGES`` columns."""
-    return {name: dataclasses.asdict(stat) for name, stat in zip(TIMING_STAGES, stats)}
+def _stage_cells(stages: dict) -> list[str]:
+    """One ``mean ± std`` cell per stage of ``_stages_json``."""
+    return [mean_std_cell(stat["mean_ms"], stat["std_ms"]) for stat in stages.values()]
 
 
 def _round_trip_json(records) -> dict:
@@ -257,6 +260,10 @@ def cmd_pipeline_bench(args) -> int:
     stage_sets = load_stage_sets(args.profile)
     if not stage_sets:
         raise DegenerateDataError(f"{args.profile} holds no stage sets")
+    if "average" in stage_sets:
+        raise ValueError(
+            f"{args.profile}: stage set name 'average' is reserved for the average row"
+        )
     if len(stage_sets) > 1:
         stage_sets["average"] = average_stage_set(stage_sets)
     duration_s = args.frames / args.fps
@@ -269,8 +276,8 @@ def cmd_pipeline_bench(args) -> int:
     payload = {"fps": args.fps, "frames": args.frames, "seed": args.seed, "profiles": []}
     for index, (name, profiles) in enumerate(stage_sets.items()):
         trace = simulate_session(args.fps, duration_s, profiles, args.seed + index)
-        summary = summarize_timings(trace)
-        stats = [summary.face, summary.landmark, summary.blink, summary.total]
+        durations = trace.durations_ms()
+        stages = _stages_json(summarize_timings(durations))
         verdict = queue_stability(profiles, args.fps)
         if verdict.stable:
             verdict_text = (
@@ -279,16 +286,11 @@ def cmd_pipeline_bench(args) -> int:
             )
         else:
             verdict_text = f"unstable (backlog +{verdict.backlog_growth_rate:.2f} frames/s)"
-        table.add_row(
-            name,
-            *(mean_std_cell(stat.mean_ms, stat.std_ms) for stat in stats),
-            trace.max_queue_length,
-            verdict_text,
-        )
+        table.add_row(name, *_stage_cells(stages), trace.max_queue_length, verdict_text)
         payload["profiles"].append(
             {
                 "profile": name,
-                "stages": _stages_json(stats),
+                "stages": stages,
                 "max_queue_length": trace.max_queue_length,
                 "backlog": trace.backlog,
                 "stable": verdict.stable,
@@ -296,7 +298,7 @@ def cmd_pipeline_bench(args) -> int:
             }
         )
         if args.out:
-            write_timings_csv(trace.records, f"{args.out}-{name}.csv")
+            write_timings_csv(durations, f"{args.out}-{name}.csv")
     _emit(args, table, payload)
     return 0
 
@@ -458,19 +460,17 @@ def cmd_report(args) -> int:
     header = first.split(",")
 
     if header == TIMING_CSV_HEADER:
-        rows = read_timings_csv(args.infile)
-        if not rows:
+        frame_ids, *durations = read_timings_csv(args.infile)
+        if not frame_ids:
             raise DegenerateDataError(f"{args.infile} holds no timing rows")
+        stages = _stages_json(summarize_timings(durations))
         table = ReportTable(
-            title=f"timing summary of {args.infile} ({len(rows)} frames)",
+            title=f"timing summary of {args.infile} ({len(frame_ids)} frames)",
             headers=["stage", "duration ms"],
         )
-        stats = []
-        for stage in TIMING_STAGES:
-            stat = stat_pair([row[f"{stage}_ms"] for row in rows])
-            table.add_row(stage, mean_std_cell(stat.mean_ms, stat.std_ms))
-            stats.append(stat)
-        _emit(args, table, {"frames": len(rows), "stages": _stages_json(stats)})
+        for stage, cell in zip(stages, _stage_cells(stages)):
+            table.add_row(stage, cell)
+        _emit(args, table, {"frames": len(frame_ids), "stages": stages})
         return 0
 
     if header == RTT_CSV_HEADER:

@@ -17,11 +17,14 @@ The simulator builds no per-frame object.  It draws every Gaussian
 stage time in one batch, with the Box-Muller pairs ``random.gauss``
 forms, so the draws equal sequential ``gauss`` calls; it runs the
 recursion over plain lists and keeps the four timestamp columns in the
-``SessionTrace``.  ``SessionTrace.records`` builds the per-frame
-``TimingRecord`` tuple on first access; ``summarize_timings`` takes a
-trace and reads its columns.
+``SessionTrace``.
 
-Timing summaries are the mean and the population standard deviation
+A frame's timings take one form past the trace: four duration columns
+in ms (face, landmark, blink, total), entry k for frame k.
+``SessionTrace.durations_ms()`` computes them from the timestamps,
+``write_timings_csv`` writes them with a frame id, ``read_timings_csv``
+reads them back, and ``summarize_timings`` is the one summary of them:
+the mean and the population standard deviation of each column
 (``report.pstdev``, correctly rounded; on Python 3.11+ it equals
 ``statistics.pstdev``).
 """
@@ -35,12 +38,11 @@ import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .report import iter_csv, pstdev, write_csv
+from .report import pstdev, read_columns, write_csv
 
 TIMING_CSV_HEADER = ["frame_id", "face_ms", "landmark_ms", "blink_ms", "total_ms"]
 
@@ -86,37 +88,6 @@ class StageProfile:
             raise ValueError(
                 f"stage {self.name.value}: a deterministic stage needs std_ms 0, got {self.std_ms}"
             )
-
-
-@dataclass(frozen=True, slots=True)
-class TimingRecord:
-    """Timestamps (microseconds) of one frame's trip through the stages.
-
-    ``recv_ts_us`` is taken when processing starts; each ``*_done``
-    timestamp is taken right after its stage.
-    """
-
-    frame_id: int
-    recv_ts_us: float
-    face_done_ts_us: float
-    landmark_done_ts_us: float
-    blink_done_ts_us: float
-
-    @property
-    def face_ms(self) -> float:
-        return (self.face_done_ts_us - self.recv_ts_us) / 1000.0
-
-    @property
-    def landmark_ms(self) -> float:
-        return (self.landmark_done_ts_us - self.face_done_ts_us) / 1000.0
-
-    @property
-    def blink_ms(self) -> float:
-        return (self.blink_done_ts_us - self.landmark_done_ts_us) / 1000.0
-
-    @property
-    def total_ms(self) -> float:
-        return (self.blink_done_ts_us - self.recv_ts_us) / 1000.0
 
 
 def clamped_normal_moments(a: float, b: float) -> tuple[float, float]:
@@ -233,11 +204,6 @@ class StatPair:
     std_ms: float
 
 
-def stat_pair(values: list[float]) -> StatPair:
-    """Mean and population standard deviation (``report.pstdev``) of durations in ms."""
-    return StatPair(statistics.fmean(values), pstdev(values))
-
-
 @dataclass(frozen=True)
 class TimingSummary:
     count: int
@@ -248,24 +214,26 @@ class TimingSummary:
 
 
 def _durations_ms(begin: Iterable[float], end: Iterable[float]) -> list[float]:
-    return [(e - b) / 1000.0 for b, e in zip(begin, end)]
+    return [(e - b) / 1000.0 for b, e in zip(begin, end, strict=True)]
 
 
-def summarize_timings(trace: SessionTrace) -> TimingSummary:
-    """Per-stage and total duration statistics of a trace's frames."""
-    recv = trace.recv_ts_us
-    face = trace.face_done_ts_us
-    landmark = trace.landmark_done_ts_us
-    blink = trace.blink_done_ts_us
-    if not recv:
+def summarize_timings(durations: Sequence[Sequence[float]]) -> TimingSummary:
+    """Mean and population standard deviation (``report.pstdev``) of each duration column.
+
+    ``durations`` holds the face, landmark, blink and total columns in
+    ms, as ``SessionTrace.durations_ms()`` returns them and as the last
+    four columns of ``read_timings_csv``.  Columns of unequal length
+    raise ``ValueError``.
+    """
+    count = len(durations[0])
+    if any(len(column) != count for column in durations):
+        raise ValueError(f"duration columns differ in length: {[len(c) for c in durations]}")
+    if not count:
         raise ValueError("no records to summarize")
-    return TimingSummary(
-        count=len(recv),
-        face=stat_pair(_durations_ms(recv, face)),
-        landmark=stat_pair(_durations_ms(face, landmark)),
-        blink=stat_pair(_durations_ms(landmark, blink)),
-        total=stat_pair(_durations_ms(recv, blink)),
+    face, landmark, blink, total = (
+        StatPair(statistics.fmean(column), pstdev(column)) for column in durations
     )
+    return TimingSummary(count, face, landmark, blink, total)
 
 
 @dataclass(frozen=True)
@@ -306,11 +274,11 @@ class SessionTrace:
 
     Columns cover every arrived frame, including ones still queued when
     the session clock ran out; ``completed``/``backlog`` split them at
-    the session end.  Entry k of each ``*_ts_us`` column is the matching
-    ``TimingRecord`` field of frame k, and ``records`` builds those
-    records on first access.  ``queue_length_at_arrival[k]`` counts
-    frames still in the system (queued or in service) when frame k
-    arrived.
+    the session end.  Entry k of each ``*_ts_us`` column is a timestamp
+    of frame k in microseconds: ``recv_ts_us`` when processing starts,
+    and each ``*_done_ts_us`` right after its stage.
+    ``queue_length_at_arrival[k]`` counts frames still in the system
+    (queued or in service) when frame k arrived.
     """
 
     fps: float
@@ -321,18 +289,16 @@ class SessionTrace:
     blink_done_ts_us: tuple[float, ...]
     queue_length_at_arrival: tuple[int, ...]
 
-    @cached_property
-    def records(self) -> tuple[TimingRecord, ...]:
-        return tuple(
-            map(
-                TimingRecord,
-                range(self.arrived),
-                self.recv_ts_us,
-                self.face_done_ts_us,
-                self.landmark_done_ts_us,
-                self.blink_done_ts_us,
-            )
-        )
+    def durations_ms(self) -> list[list[float]]:
+        """The face, landmark, blink and total duration columns in ms."""
+        recv, face = self.recv_ts_us, self.face_done_ts_us
+        landmark, blink = self.landmark_done_ts_us, self.blink_done_ts_us
+        return [
+            _durations_ms(recv, face),
+            _durations_ms(face, landmark),
+            _durations_ms(landmark, blink),
+            _durations_ms(recv, blink),
+        ]
 
     @property
     def arrived(self) -> int:
@@ -469,24 +435,27 @@ def average_stage_set(stage_sets: Mapping[str, list[StageProfile]]) -> list[Stag
     return averaged
 
 
-def write_timings_csv(records: Iterable[TimingRecord], path: str | Path) -> None:
-    """Export per-frame stage durations."""
-    write_csv(
-        path,
-        TIMING_CSV_HEADER,
-        ((r.frame_id, r.face_ms, r.landmark_ms, r.blink_ms, r.total_ms) for r in records),
-    )
+def write_timings_csv(durations: Sequence[Sequence[float]], path: str | Path) -> None:
+    """Export the four duration columns in ms, each row after its frame id 0, 1, ..."""
+    write_csv(path, TIMING_CSV_HEADER, zip(range(len(durations[0])), *durations, strict=True))
 
 
-def read_timings_csv(path: str | Path) -> list[dict[str, float]]:
-    """Per-frame stage durations of a CSV file; every duration must be finite."""
+def read_timings_csv(path: str | Path) -> list[list]:
+    """The five columns of ``TIMING_CSV_HEADER`` in a CSV file; every duration must be finite."""
 
-    def parse(frame_id: str, *durations: str) -> dict[str, float]:
-        row = {"frame_id": int(frame_id)}
+    def parse(frame_id: str, *durations: str) -> list:
+        row = [int(frame_id)]
         for name, text in zip(TIMING_CSV_HEADER[1:], durations):
-            row[name] = float(text)
-            if not math.isfinite(row[name]):
-                raise ValueError(f"{name} must be finite, got {row[name]}")
+            row.append(float(text))
+            if not math.isfinite(row[-1]):
+                raise ValueError(f"{name} must be finite, got {row[-1]}")
         return row
 
-    return list(iter_csv(path, TIMING_CSV_HEADER, parse))
+    def parse_chunk(frame_id: list[str], *durations: list[str]) -> list[list]:
+        columns = [list(map(int, frame_id)), *(list(map(float, d)) for d in durations)]
+        # a NaN or an infinity makes the sum NaN or infinite; the row path words the error
+        if not all(math.isfinite(sum(column)) for column in columns[1:]):
+            raise ValueError("a duration is not finite")
+        return columns
+
+    return read_columns(path, TIMING_CSV_HEADER, parse, parse_chunk)

@@ -102,7 +102,7 @@ def test_03_timing_recovery(profiles_dir):
         for res, profiles in sorted(load_stage_sets(profiles_dir / f"{device}.json").items()):
             trace = simulate_session(30, 15, profiles, seed=seed)  # 450 frames
             seed += 1
-            summary = summarize_timings(trace)
+            summary = summarize_timings(trace.durations_ms())
             by_stage = dict(
                 zip(("face", "landmark", "blink"), (summary.face, summary.landmark,
                                                     summary.blink))

@@ -16,7 +16,7 @@ from drowsebench.blink import EarSample, EarSeries, read_ear_csv, write_ear_csv
 from drowsebench.cli import main
 from drowsebench.decision import Label, ScoredSequence
 from drowsebench.decision import read_scores_csv, write_scores_csv
-from drowsebench.pipeline import TimingRecord, read_timings_csv, write_timings_csv
+from drowsebench.pipeline import read_timings_csv, write_timings_csv
 from drowsebench.protocol import FrameMessage, MessageType, PixelFormat, encode_frame, read_frame
 from drowsebench.transport import RoundTripRecord, read_rtt_csv, write_rtt_csv
 
@@ -87,8 +87,8 @@ class TestUsageErrors:
 
 
 EAR_SAMPLES = [EarSample(k, k * 33333, ear) for k, ear in enumerate([0.3, 0.1, 0.1, 0.3])]
-TIMINGS = [TimingRecord(0, 0.0, 2000.0, 3000.0, 3500.0),
-           TimingRecord(1, 33333.0, 35500.0, 36750.0, 37000.0)]
+# face, landmark, blink and total duration columns of two frames
+TIMINGS = [[2.0, 2.167], [1.0, 1.25], [0.5, 0.25], [3.5, 3.667]]
 
 # writer, records, reader, what it reads back, and the command that reads the file
 CSV_FORMATS = {
@@ -111,8 +111,7 @@ CSV_FORMATS = {
         write_timings_csv,
         TIMINGS,
         read_timings_csv,
-        [{"frame_id": r.frame_id, "face_ms": r.face_ms, "landmark_ms": r.landmark_ms,
-          "blink_ms": r.blink_ms, "total_ms": r.total_ms} for r in TIMINGS],
+        [[0, 1], *TIMINGS],
         ["report", "--in"],
     ),
     "rtt": (
@@ -294,8 +293,8 @@ class TestPipelineBench:
         payload = json.loads(capsys.readouterr().out)
         assert [p["profile"] for p in payload["profiles"]] == ["default"]
         assert payload["profiles"][0]["stable"] is True
-        rows = read_timings_csv(tmp_path / "timings-default.csv")
-        assert len(rows) == 40
+        frame_ids, *_ = read_timings_csv(tmp_path / "timings-default.csv")
+        assert frame_ids == list(range(40))
 
     def test_non_finite_profile_is_rejected(self, tmp_path, capsys):
         # Python's json reads NaN and Infinity; neither is a service time
@@ -307,6 +306,17 @@ class TestPipelineBench:
         )
         assert main(["pipeline-bench", "--profile", str(path)]) == 2
         assert "mean_ms must be positive and finite, got nan" in capsys.readouterr().err
+
+    def test_stage_set_named_average_is_rejected(self, tmp_path, capsys):
+        # the average row would silently replace a set of that name
+        stages = ('{"stages": [{"name": "face", "mean_ms": %s}, {"name": "landmark", '
+                  '"mean_ms": 1.0}, {"name": "blink", "mean_ms": 1.0}]}')
+        path = tmp_path / "device.json"
+        path.write_text('{"resolutions": {"average": %s, "640x480": %s}}'
+                        % (stages % 100.0, stages % 2.0))
+        assert main(["pipeline-bench", "--profile", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: stage set name 'average' is reserved for the average row\n")
 
     def test_device_file_with_no_stage_sets_is_degenerate(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
@@ -532,6 +542,79 @@ GOLDEN_OPTIMIZE_SHA256 = {
     },
 }
 
+# SHA-256 of `report` on each --out timing CSV of `pipeline-bench --frames
+# 3000 --seed 3`: the table, with the input path in its title replaced
+# by the file name, and the --json document.  A change in reading the
+# CSV or in the timing summary changes them.
+GOLDEN_REPORT_SHA256 = {
+    "desktop-pc": {
+        "1280x720.csv json":
+            "769efbb76f595950171e722bc815272847d7bcaa144b6a9fa0db8382e9c81ea8",
+        "1280x720.csv table":
+            "c94aa6f8a21c4167ebf2ec5e1875cd614b0f5ce952dfe552cc6d8d870307dec3",
+        "320x240.csv json":
+            "2f8f4611d91bd4ac3db847f9403a79e9d655b2019fe9d84869140f886290e0c6",
+        "320x240.csv table":
+            "7179ad8c3d88aad31da54d42231cd709242edbd08c457538d163034060f33a84",
+        "640x480.csv json":
+            "52fdecc07cb811e67ddcb7ec05fb6bc91aa695eb88cdb99d2bc888a54606335f",
+        "640x480.csv table":
+            "f6423115a50a121ff9dbd82499aa5e88c3e66692d8229232e40b8b4e7a0d5b91",
+        "960x540.csv json":
+            "23cd076999ad118d66459795516b3c0821210058d27c1dafbe62d7ba5d421216",
+        "960x540.csv table":
+            "ed96b3959b60e7048964c0b475723e0bf436662cb05c61eb28de20e4a205fa82",
+        "average.csv json":
+            "bdab39abb93cd48a0f0acc60fa8c6cc82665bd38461781aa3e97f433593ef303",
+        "average.csv table":
+            "33254c031aa01bc3c072ecb9d9f31909ad1c70942718fb3ea48c7a4a80188d88",
+    },
+    "jetson-nano": {
+        "1280x720.csv json":
+            "cd5b661353aa918ff600ca3e30279849d2e633a4e559380be6616a59f204889a",
+        "1280x720.csv table":
+            "9783f1ee9e4e72414b7e28e89502ea76e938bfcf2ce5b66fb8a8578246b33dad",
+        "320x240.csv json":
+            "286e3bf12db88470dbfe3f82bc05e2da5b0116e98a8ad38302f3fdda259b34b2",
+        "320x240.csv table":
+            "ae63ad61d378c730abf47ed292307ec0c65eb5021d447e8ce5fa9c99289ac29f",
+        "640x480.csv json":
+            "86f5dde0064c3fbd0d89d7f46564be59743ff408fd1c3e99a2ac35094d89d8b4",
+        "640x480.csv table":
+            "e9e916d8dc7c7547568dda986a4e81436a5b403de4656ac3f806f16a38376584",
+        "960x540.csv json":
+            "a0ab1998bdcd25d794640e75738b31a22c0ca5046e0aa4606e691635bda4adfd",
+        "960x540.csv table":
+            "cfadb126226f2495c6f8ae87af499f25c59707a7cb9bf2f876ee6572dc5fc2ea",
+        "average.csv json":
+            "8e8c869035541cdc422ba8359933cd80fe72afaa49a5446a0e307406ed4362cc",
+        "average.csv table":
+            "e7b38243579426d1cdf7ea5d96d6ebae863b84a1411c74ac30c33325de493af9",
+    },
+    "mini-pc": {
+        "1280x720.csv json":
+            "3aba434e44301ec9bcd516de5ecbf754ee0a33a079be14f4ba196e819a106e38",
+        "1280x720.csv table":
+            "5523b76d0030a1e2d7eb2c665f108e574592fbae64e021775fdf87100e4bab8e",
+        "320x240.csv json":
+            "b6e7e461a43c1ac4db24e40a4e06c71a234c13065fd061365311a5c536a1dceb",
+        "320x240.csv table":
+            "7ec0d7d548fb9cc65cee0158b498109da0e60626a4688ae84bf025f084dbe52b",
+        "640x480.csv json":
+            "e1599d34b251cfbc0f591c7aa427f5fede80c2a925bb84e1309f902e18b30174",
+        "640x480.csv table":
+            "f7a35a15da0d8b4d6026058599af808727c7171c11f3e1d39bd85066c433309e",
+        "960x540.csv json":
+            "d4181c42a596fe99df55225addb624a04657ffc6828678d1420f84849184835f",
+        "960x540.csv table":
+            "752ef93b1295ddd4cd2fa507539f096e6c52fa2fe26ae7e77ab00527773bd9b5",
+        "average.csv json":
+            "3d7ed96a800e6514a67e90881ef13998e5f9baf403fcf8c22dd0ac835145a17d",
+        "average.csv table":
+            "6abba100f79dfff1a3021a6723dd55abfb56feb1762217aa2f7ad3671d4d87c2",
+    },
+}
+
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -566,6 +649,22 @@ def test_optimize_output_matches_recorded_digests(tmp_path, capsys, seed):
     digests = {"json": sha256(out.encode()),
                "curve.csv": sha256((tmp_path / "curve.csv").read_bytes())}
     assert digests == GOLDEN_OPTIMIZE_SHA256[seed]
+
+
+@pytest.mark.parametrize("device", sorted(GOLDEN_REPORT_SHA256))
+def test_report_output_matches_recorded_digests(profiles_dir, tmp_path, capsys, device):
+    assert main(["pipeline-bench", "--profile", str(profiles_dir / f"{device}.json"),
+                 "--frames", "3000", "--seed", "3", "--out", str(tmp_path / "timings")]) == 0
+    capsys.readouterr()
+    digests = {}
+    for path in sorted(tmp_path.glob("timings-*.csv")):
+        name = path.name.removeprefix("timings-")
+        for kind, extra in (("table", []), ("json", ["--json"])):
+            assert main(["report", "--in", str(path), *extra]) == 0
+            # the table's title names its input file, which lives under tmp_path
+            out = capsys.readouterr().out.replace(str(path), name)
+            digests[f"{name} {kind}"] = sha256(out.encode())
+    assert digests == GOLDEN_REPORT_SHA256[device]
 
 
 class TestGen:
@@ -758,8 +857,7 @@ def test_json_stdout_is_one_document_next_to_file_output(command, tmp_path, caps
     ear_csv, scores_csv, timings_csv = (tmp_path / name for name in ("ear", "scores", "timings"))
     assert main(["gen", "ear", "--blinks", "2", "--out", str(ear_csv)]) == 0
     write_skewed_scores(scores_csv)
-    write_timings_csv([TimingRecord(k, 0.0, 1000.0, 2000.0, 2500.0) for k in range(3)],
-                      timings_csv)
+    write_timings_csv([[1.0] * 3, [1.0] * 3, [0.5] * 3, [2.5] * 3], timings_csv)
     argv, written = {
         "stream-bench": (["--loopback", "--fps", "200", "--frames", "4", "--res", "8x8",
                           "--out", str(tmp_path / "rtt")], "rtt-8x8.csv"),
@@ -782,14 +880,21 @@ class TestReport:
     def test_timing_report_matches_bench_output(self, tmp_path, capsys):
         profile = single_set_profile(tmp_path)
         prefix = tmp_path / "timings"
-        assert main(["pipeline-bench", "--profile", str(profile), "--frames", "50",
-                     "--out", str(prefix)]) == 0
+        argv = ["pipeline-bench", "--profile", str(profile), "--frames", "50",
+                "--out", str(prefix)]
+        assert main(argv) == 0
         bench_cells = MEAN_STD.findall(capsys.readouterr().out)
+        assert main([*argv, "--json"]) == 0
+        (bench,) = json.loads(capsys.readouterr().out)["profiles"]
 
-        assert main(["report", "--in", str(tmp_path / "timings-default.csv")]) == 0
+        csv_path = str(tmp_path / "timings-default.csv")
+        assert main(["report", "--in", csv_path]) == 0
         report_out = capsys.readouterr().out
         assert "timing summary" in report_out
         assert MEAN_STD.findall(report_out) == bench_cells
+        # the CSV holds each duration's repr, so the summary round-trips exactly
+        assert main(["report", "--in", csv_path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["stages"] == bench["stages"]
 
     def test_rtt_report(self, tmp_path, capsys):
         prefix = tmp_path / "rtt"

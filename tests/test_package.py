@@ -166,3 +166,31 @@ def test_every_public_name_has_a_caller_in_the_package():
         and not loaded.get(node.name, set()) - {id(inner) for inner in ast.walk(node)}
     ]
     assert unused == [], "no caller in src/: " + ", ".join(unused)
+
+
+def test_every_public_member_has_a_caller_in_the_package():
+    # a public method or property of a package class is read as an
+    # attribute somewhere in src/ outside its own body, or overrides a
+    # base-class member the base calls; anything else serves only tests
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(drowsebench.__file__).parent.glob("*.py"))}
+    read = {}  # attribute name -> ids of the nodes that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.setdefault(node.attr, set()).add(id(node))
+    unused = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = getattr(importlib.import_module(f"drowsebench.{module}"), cls.name).__mro__[1:]
+            unused += [
+                f"{module}.py: {cls.name}.{node.name}"
+                for node in cls.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")
+                and not any(hasattr(base, node.name) for base in bases)
+                and not read.get(node.name, set()) - {id(inner) for inner in ast.walk(node)}
+            ]
+    assert unused == [], "no caller in src/: " + ", ".join(unused)

@@ -10,7 +10,6 @@ from drowsebench.pipeline import (
     SessionTrace,
     StageName,
     StageProfile,
-    TimingRecord,
     _normal_draws,
     _stage_columns,
     average_stage_set,
@@ -182,12 +181,12 @@ class TestBatchedDraws:
 
 class TestFramePipeline:
     def test_deterministic_millisecond_stages(self):
-        rec = simulate_session(1, 1, det_profiles(), seed=0).records[0]
-        assert rec.recv_ts_us == 0.0
-        assert rec.face_done_ts_us == 1000.0
-        assert rec.landmark_done_ts_us == 2000.0
-        assert rec.blink_done_ts_us == 3000.0
-        assert (rec.face_ms, rec.landmark_ms, rec.blink_ms, rec.total_ms) == (1.0, 1.0, 1.0, 3.0)
+        trace = simulate_session(1, 1, det_profiles(), seed=0)
+        assert trace.recv_ts_us == (0.0,)
+        assert trace.face_done_ts_us == (1000.0,)
+        assert trace.landmark_done_ts_us == (2000.0,)
+        assert trace.blink_done_ts_us == (3000.0,)
+        assert trace.durations_ms() == [[1.0], [1.0], [1.0], [3.0]]
 
     def test_missing_stage_rejected(self):
         face, landmark, blink = det_profiles()
@@ -236,7 +235,7 @@ class TestSimulateSession:
         # service equals the frame period, so each frame ends exactly when
         # the next one arrives: a frame done at an arrival is out of the system
         trace = simulate_session(10, 3, det_profiles(50.0, 30.0, 20.0), seed=0)
-        assert [r.recv_ts_us for r in trace.records] == [k * 1e5 for k in range(30)]
+        assert list(trace.recv_ts_us) == [k * 1e5 for k in range(30)]
         assert trace.max_queue_length == 0
         assert trace.backlog == 0
 
@@ -248,11 +247,11 @@ class TestSimulateSession:
         ]
         trace = simulate_session(30, 3, profiles, seed=11)
         period_us = 1e6 / 30
-        for k, rec in enumerate(trace.records):
+        for k, (recv, done) in enumerate(zip(trace.recv_ts_us, trace.blink_done_ts_us)):
             arrival = k * period_us
-            expected = arrival if k == 0 else max(arrival, trace.records[k - 1].blink_done_ts_us)
-            assert rec.recv_ts_us == expected
-            assert rec.blink_done_ts_us >= rec.recv_ts_us
+            expected = arrival if k == 0 else max(arrival, trace.blink_done_ts_us[k - 1])
+            assert recv == expected
+            assert done >= recv
 
     def test_same_seed_reproduces_trace(self):
         profiles = [
@@ -263,8 +262,8 @@ class TestSimulateSession:
         a = simulate_session(30, 2, profiles, seed=42)
         b = simulate_session(30, 2, profiles, seed=42)
         c = simulate_session(30, 2, profiles, seed=43)
-        assert a.records == b.records
-        assert a.records != c.records
+        assert a == b
+        assert a != c
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -348,10 +347,15 @@ GOLDEN_TRACE_SHA256 = {
 
 
 def trace_digest(trace):
-    rows = [
-        (r.frame_id, r.recv_ts_us, r.face_done_ts_us, r.landmark_done_ts_us, r.blink_done_ts_us)
-        for r in trace.records
-    ]
+    rows = list(
+        zip(
+            range(trace.arrived),
+            trace.recv_ts_us,
+            trace.face_done_ts_us,
+            trace.landmark_done_ts_us,
+            trace.blink_done_ts_us,
+        )
+    )
     return hashlib.sha256(repr((rows, list(trace.queue_length_at_arrival))).encode()).hexdigest()
 
 
@@ -392,33 +396,22 @@ class TestSeededTraces:
         def check(profiles, fps, n_frames, seed):
             duration_s = n_frames / fps
             trace = simulate_session(fps, duration_s, profiles, seed)
-            records = trace.records
+            done = trace.blink_done_ts_us
             period_us = 1e6 / fps
             assert trace.arrived == len(trace.queue_length_at_arrival) == round(fps * duration_s)
             done_prev = 0.0
-            for k, rec in enumerate(records):
+            columns = zip(trace.recv_ts_us, trace.face_done_ts_us, trace.landmark_done_ts_us, done)
+            for k, (recv, face, landmark, blink) in enumerate(columns):
                 arrival_us = k * period_us
-                assert rec.frame_id == k
-                assert rec.recv_ts_us == max(arrival_us, done_prev)
-                assert (
-                    rec.recv_ts_us
-                    <= rec.face_done_ts_us
-                    <= rec.landmark_done_ts_us
-                    <= rec.blink_done_ts_us
-                )
-                in_system = sum(1 for r in records[:k] if r.blink_done_ts_us > arrival_us)
+                assert recv == max(arrival_us, done_prev)
+                assert recv <= face <= landmark <= blink
+                in_system = sum(1 for d in done[:k] if d > arrival_us)
                 assert trace.queue_length_at_arrival[k] == in_system
-                done_prev = rec.blink_done_ts_us
+                done_prev = blink
             end_us = duration_s * 1e6
-            assert trace.completed == sum(1 for r in records if r.blink_done_ts_us <= end_us)
+            assert trace.completed == sum(1 for d in done if d <= end_us)
             assert trace.completed + trace.backlog == trace.arrived
-            columns = zip(
-                trace.recv_ts_us,
-                trace.face_done_ts_us,
-                trace.landmark_done_ts_us,
-                trace.blink_done_ts_us,
-            )
-            assert records == tuple(TimingRecord(k, *row) for k, row in enumerate(columns))
+            assert [len(column) for column in trace.durations_ms()] == [trace.arrived] * 4
 
         check()
 
@@ -476,28 +469,23 @@ class TestQueueStability:
             queue_stability(det_profiles(), fps=fps)
 
 
-def make_record(frame_id, recv, face, landmark, blink):
-    return TimingRecord(
-        frame_id=frame_id,
-        recv_ts_us=recv,
-        face_done_ts_us=face,
-        landmark_done_ts_us=landmark,
-        blink_done_ts_us=blink,
+def two_frame_trace(**columns):
+    """A hand-built trace of two frames; ``columns`` replaces any of its columns."""
+    defaults = dict(
+        recv_ts_us=(0, 10000),
+        face_done_ts_us=(2000, 14000),
+        landmark_done_ts_us=(3000, 16000),
+        blink_done_ts_us=(3500, 17500),
+        queue_length_at_arrival=(0, 0),
     )
+    return SessionTrace(fps=100.0, duration_s=0.02, **{**defaults, **columns})
 
 
 class TestSummarizeTimings:
     def test_hand_computed_summary(self):
-        trace = SessionTrace(
-            fps=100.0,
-            duration_s=0.02,
-            recv_ts_us=(0, 10000),
-            face_done_ts_us=(2000, 14000),
-            landmark_done_ts_us=(3000, 16000),
-            blink_done_ts_us=(3500, 17500),
-            queue_length_at_arrival=(0, 0),
-        )
-        summary = summarize_timings(trace)
+        trace = two_frame_trace()
+        assert trace.durations_ms() == [[2.0, 4.0], [1.0, 2.0], [0.5, 1.5], [3.5, 7.5]]
+        summary = summarize_timings(trace.durations_ms())
         assert summary.count == 2
         assert (summary.face.mean_ms, summary.face.std_ms) == (3.0, 1.0)
         assert (summary.landmark.mean_ms, summary.landmark.std_ms) == (1.5, 0.5)
@@ -506,11 +494,22 @@ class TestSummarizeTimings:
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            summarize_timings(SessionTrace(1.0, 1.0, (), (), (), (), ()))
+            summarize_timings(SessionTrace(1.0, 1.0, (), (), (), (), ()).durations_ms())
         empty = simulate_session(1, 0.1, det_profiles(), seed=0)
         assert empty.arrived == 0
         with pytest.raises(ValueError):
-            summarize_timings(empty)
+            summarize_timings(empty.durations_ms())
+
+    def test_a_short_timestamp_column_raises(self):
+        # zip would stop at the short column: count from one column,
+        # statistics from a truncated one
+        with pytest.raises(ValueError, match="zip"):
+            two_frame_trace(landmark_done_ts_us=(3000,)).durations_ms()
+
+    def test_duration_columns_of_unequal_length_raise(self):
+        durations = [[2.0, 4.0], [1.0], [0.5, 1.5], [3.5, 7.5]]
+        with pytest.raises(ValueError, match=r"^duration columns differ in length: \[2, 1, 2, 2\]$"):
+            summarize_timings(durations)
 
     def test_simulated_session_recovers_profile_means(self):
         profiles = [
@@ -519,7 +518,7 @@ class TestSummarizeTimings:
             StageProfile(StageName.BLINK, 2.645, 5.164),
         ]
         trace = simulate_session(30, 15, profiles, seed=12345)
-        summary = summarize_timings(trace)
+        summary = summarize_timings(trace.durations_ms())
         assert summary.count == 450
         for profile, stat in zip(profiles, (summary.face, summary.landmark, summary.blink)):
             tol = 3 * profile.std_ms / math.sqrt(450)
@@ -612,17 +611,15 @@ class TestStageSetFiles:
 
 class TestTimingsCsv:
     def test_roundtrip(self, tmp_path):
-        records = [
-            make_record(0, 0, 2000, 3000, 3500),
-            make_record(2, 10000, 14000, 16000, 17500),
-        ]
+        durations = two_frame_trace().durations_ms()
         path = tmp_path / "timings.csv"
-        write_timings_csv(records, path)
-        rows = read_timings_csv(path)
-        assert [r["frame_id"] for r in rows] == [0, 2]
-        assert rows[0] == {
-            "frame_id": 0, "face_ms": 2.0, "landmark_ms": 1.0, "blink_ms": 0.5, "total_ms": 3.5,
-        }
+        write_timings_csv(durations, path)
+        assert path.read_text().splitlines()[1] == "0,2.0,1.0,0.5,3.5"
+        assert read_timings_csv(path) == [[0, 1], *durations]
+
+    def test_rejects_columns_of_unequal_length(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_timings_csv([[2.0, 4.0], [1.0], [0.5, 1.5], [3.5, 7.5]], tmp_path / "t.csv")
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "other.csv"
