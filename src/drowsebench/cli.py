@@ -260,11 +260,11 @@ def cmd_pipeline_bench(args) -> int:
     stage_sets = load_stage_sets(args.profile)
     if not stage_sets:
         raise DegenerateDataError(f"{args.profile} holds no stage sets")
-    if "average" in stage_sets:
-        raise ValueError(
-            f"{args.profile}: stage set name 'average' is reserved for the average row"
-        )
     if len(stage_sets) > 1:
+        if "average" in stage_sets:
+            raise ValueError(
+                f"{args.profile}: stage set name 'average' is reserved for the average row"
+            )
         stage_sets["average"] = average_stage_set(stage_sets)
     duration_s = args.frames / args.fps
 

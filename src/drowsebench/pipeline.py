@@ -42,7 +42,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .report import pstdev, read_columns, write_csv
+from .report import iter_csv, pstdev, write_csv
 
 TIMING_CSV_HEADER = ["frame_id", "face_ms", "landmark_ms", "blink_ms", "total_ms"]
 
@@ -451,11 +451,8 @@ def read_timings_csv(path: str | Path) -> list[list]:
                 raise ValueError(f"{name} must be finite, got {row[-1]}")
         return row
 
-    def parse_chunk(frame_id: list[str], *durations: list[str]) -> list[list]:
-        columns = [list(map(int, frame_id)), *(list(map(float, d)) for d in durations)]
-        # a NaN or an infinity makes the sum NaN or infinite; the row path words the error
-        if not all(math.isfinite(sum(column)) for column in columns[1:]):
-            raise ValueError("a duration is not finite")
-        return columns
-
-    return read_columns(path, TIMING_CSV_HEADER, parse, parse_chunk)
+    columns: list[list] = [[] for _ in TIMING_CSV_HEADER]
+    for row in iter_csv(path, TIMING_CSV_HEADER, parse):
+        for column, value in zip(columns, row):
+            column.append(value)
+    return columns

@@ -317,6 +317,11 @@ class TestPipelineBench:
         assert main(["pipeline-bench", "--profile", str(path)]) == 2
         assert capsys.readouterr() == (
             "", f"error: {path}: stage set name 'average' is reserved for the average row\n")
+        # a lone set gets no average row, so its name clashes with nothing
+        path.write_text('{"resolutions": {"average": %s}}' % (stages % 100.0))
+        assert main(["pipeline-bench", "--profile", str(path), "--json"]) == 0
+        assert [p["profile"] for p in json.loads(capsys.readouterr().out)["profiles"]] == [
+            "average"]
 
     def test_device_file_with_no_stage_sets_is_degenerate(self, tmp_path, capsys):
         path = tmp_path / "empty.json"

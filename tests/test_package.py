@@ -144,53 +144,42 @@ def test_names_the_benchmark_tracer_wraps_exist():
 def test_every_public_name_has_a_caller_in_the_package():
     # a public top-level def or class is read somewhere in src/ outside its
     # own body (an import alone does not count), exported by __init__.py,
-    # or wrapped by the benchmark's tracer; anything else serves only tests
+    # or wrapped by the benchmark's tracer; a public method or property of
+    # a package class is read as an attribute in src/ outside its own body,
+    # or overrides a base-class member the base calls; anything else serves
+    # only tests
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(Path(drowsebench.__file__).parent.glob("*.py"))}
     kept = {alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
             if isinstance(node, ast.ImportFrom) for alias in node.names}
     kept |= {name for _, name in tracer_targets()}
-    loaded = {}  # name -> ids of the nodes that read it
+    loaded, read = {}, {}  # name -> ids of the nodes that read it, as any name / as an attribute
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.setdefault(node.id, set()).add(id(node))
             elif isinstance(node, ast.Attribute):
                 loaded.setdefault(node.attr, set()).add(id(node))
-    unused = [
-        f"{module}: {node.name}"
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_") and node.name not in kept
-        and not loaded.get(node.name, set()) - {id(inner) for inner in ast.walk(node)}
-    ]
-    assert unused == [], "no caller in src/: " + ", ".join(unused)
-
-
-def test_every_public_member_has_a_caller_in_the_package():
-    # a public method or property of a package class is read as an
-    # attribute somewhere in src/ outside its own body, or overrides a
-    # base-class member the base calls; anything else serves only tests
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(Path(drowsebench.__file__).parent.glob("*.py"))}
-    read = {}  # attribute name -> ids of the nodes that read it
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
                 read.setdefault(node.attr, set()).add(id(node))
+
+    def has_caller(node, readers):
+        return bool(readers.get(node.name, set()) - {id(inner) for inner in ast.walk(node)})
+
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     unused = []
     for module, tree in trees.items():
-        for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef):
+        for node in tree.body:
+            if not isinstance(node, (*defs, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            bases = getattr(importlib.import_module(f"drowsebench.{module}"), cls.name).__mro__[1:]
-            unused += [
-                f"{module}.py: {cls.name}.{node.name}"
-                for node in cls.body
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not node.name.startswith("_")
-                and not any(hasattr(base, node.name) for base in bases)
-                and not read.get(node.name, set()) - {id(inner) for inner in ast.walk(node)}
-            ]
+            if node.name not in kept and not has_caller(node, loaded):
+                unused.append(f"{module}: {node.name}")
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(importlib.import_module(f"drowsebench.{Path(module).stem}"), node.name)
+                unused += [
+                    f"{module}: {node.name}.{member.name}"
+                    for member in node.body
+                    if isinstance(member, defs) and not member.name.startswith("_")
+                    and not any(hasattr(base, member.name) for base in cls.__mro__[1:])
+                    and not has_caller(member, read)
+                ]
     assert unused == [], "no caller in src/: " + ", ".join(unused)
