@@ -17,11 +17,13 @@ from __future__ import annotations
 import math
 import operator
 import statistics
+from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import astuple, dataclass
+from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .report import read_columns, write_csv
 
@@ -40,30 +42,45 @@ class EarSample:
             raise ValueError(f"ear must be finite and non-negative, got {self.ear}")
 
 
+# the columns of an EarSeries and the array typecode of each: "q" is a
+# signed 64-bit integer, "d" a double
+_COLUMN_TYPECODES = {"frame_id": "q", "ts_us": "q", "ear": "d"}
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
 @dataclass(frozen=True)
 class EarSeries(Sequence[EarSample]):
-    """An EAR series as three columns; entry k of each is sample k.
+    """An EAR series as three typed columns; entry k of each is sample k.
 
-    It reads as a sequence of ``EarSample``: ``len(series)``,
-    ``series[k]`` and iteration build the samples from the columns, and
+    ``frame_id`` and ``ts_us`` are ``array('q')`` (signed 64-bit
+    integers) and ``ear`` is ``array('d')``, 8 bytes a value; a column
+    given as any other sequence is copied into an array of its type.  It
+    reads as a sequence of ``EarSample``: ``len(series)``, ``series[k]``
+    and iteration build the samples from the columns, and
     ``series[a:b:c]`` with a positive step is the series of the sliced
     columns.  ``EarSeries.of`` and ``read_ear_csv`` build one with frame
     ids that strictly increase.
     """
 
-    frame_id: tuple[int, ...]
-    ts_us: tuple[int, ...]
-    ear: tuple[float, ...]
+    frame_id: array
+    ts_us: array
+    ear: array
+
+    def __post_init__(self):
+        for name, typecode in _COLUMN_TYPECODES.items():
+            column = getattr(self, name)
+            if not (isinstance(column, array) and column.typecode == typecode):
+                object.__setattr__(self, name, array(typecode, column))
 
     @classmethod
     def of(cls, samples: Iterable[EarSample]) -> "EarSeries":
         """The series of ``samples``, read once; their frame ids must strictly increase."""
         samples = list(samples)
-        frame_ids = tuple([s.frame_id for s in samples])
+        frame_ids = [s.frame_id for s in samples]
         for earlier, later in zip(frame_ids, frame_ids[1:]):
             if later <= earlier:
                 raise ValueError(f"frame_id {later} does not follow {earlier}")
-        return cls(frame_ids, tuple([s.ts_us for s in samples]), tuple([s.ear for s in samples]))
+        return cls(frame_ids, [s.ts_us for s in samples], [s.ear for s in samples])
 
     def __len__(self) -> int:
         return len(self.frame_id)
@@ -125,20 +142,15 @@ def detect_blinks(
         raise ValueError("empty EAR series")
     frame_ids, values = series.frame_id, series.ear
     n = len(values)
+    # the closed samples, found in one pass at C level rather than a Python loop
+    closed = compress(range(n), map(operator.lt, values, repeat(config.close_threshold)))
 
     blinks: list[Blink] = []
-    i = 0
-    while i < n:
-        if values[i] >= config.close_threshold:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and values[j + 1] < config.close_threshold:
-            j += 1
+    for i, j in _runs(closed):
         if j - i + 1 >= config.min_closed_frames:
             start = max(i - 1, 0)
             end = min(j + 1, n - 1)
-            apex = min(range(i, j + 1), key=lambda k: (values[k], k))
+            apex = min(range(i, j + 1), key=values.__getitem__)  # the earliest minimum
             min_ear = values[apex]
             preceding = values[max(0, start - 10) : start]
             baseline = statistics.median(preceding) if preceding else values[start]
@@ -151,8 +163,20 @@ def detect_blinks(
                     baseline_ear=max(baseline, min_ear),
                 )
             )
-        i = j + 1
     return blinks
+
+
+def _runs(indices: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The first and last of each maximal run of consecutive integers in increasing ``indices``."""
+    first = last = None
+    for k in indices:
+        if last is None or k != last + 1:
+            if last is not None:
+                yield first, last
+            first = k
+        last = k
+    if last is not None:
+        yield first, last
 
 
 @dataclass(frozen=True)
@@ -214,12 +238,18 @@ def write_ear_csv(series: EarSeries, path: str | Path) -> None:
 
 
 def read_ear_csv(path: str | Path) -> EarSeries:
-    """The EAR series of a CSV file; ``frame_id`` must increase from row to row."""
+    """The EAR series of a CSV file; ``frame_id`` must increase from row to row.
+
+    ``frame_id`` and ``ts_us`` must fit a signed 64-bit integer.
+    """
     last_frame_id = None  # of the rows parsed one by one
 
     def parse(frame_id: str, ts_us: str, ear: str) -> tuple[int, int, float]:
         nonlocal last_frame_id
         sample = EarSample(int(frame_id), int(ts_us), float(ear))
+        for name, value in (("frame_id", sample.frame_id), ("ts_us", sample.ts_us)):
+            if value not in _INT64:
+                raise ValueError(f"{name} {value} does not fit a signed 64-bit integer")
         if last_frame_id is not None and sample.frame_id <= last_frame_id:
             raise ValueError(f"frame_id {sample.frame_id} does not follow {last_frame_id}")
         last_frame_id = sample.frame_id
@@ -227,7 +257,7 @@ def read_ear_csv(path: str | Path) -> EarSeries:
 
     last_chunk_id = -math.inf  # of the chunks parsed column by column
 
-    def parse_chunk(frame_id: list[str], ts_us: list[str], ear: list[str]) -> tuple[list, ...]:
+    def parse_chunk(frame_id: list[str], ts_us: list[str], ear: list[str]) -> tuple[array, ...]:
         nonlocal last_chunk_id
         frame_ids = list(map(int, frame_id))
         ears = list(map(float, ear))
@@ -237,9 +267,15 @@ def read_ear_csv(path: str | Path) -> EarSeries:
         if not (last_chunk_id < frame_ids[0] and all(map(operator.lt, frame_ids, frame_ids[1:]))):
             raise ValueError("frame ids do not increase")
         last_chunk_id = frame_ids[-1]
-        return frame_ids, list(map(int, ts_us)), ears
+        # an array built from a list converts each value in one pass; an id or
+        # timestamp out of the 64-bit range raises OverflowError, which
+        # read_columns answers by reading the file row by row
+        return array("q", frame_ids), array("q", list(map(int, ts_us))), array("d", ears)
 
-    return EarSeries(*map(tuple, read_columns(path, EAR_CSV_HEADER, parse, parse_chunk)))
+    def new_columns() -> list[array]:
+        return [array(typecode) for typecode in _COLUMN_TYPECODES.values()]
+
+    return EarSeries(*read_columns(path, EAR_CSV_HEADER, parse, parse_chunk, new_columns))
 
 
 def write_features_csv(features: Iterable[BlinkFeatures], path: str | Path) -> None:

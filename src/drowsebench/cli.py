@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import statistics
@@ -299,6 +300,7 @@ def cmd_pipeline_bench(args) -> int:
         )
         if args.out:
             write_timings_csv(durations, f"{args.out}-{name}.csv")
+        del trace, durations  # free this set's columns before the next set is simulated
     _emit(args, table, payload)
     return 0
 
@@ -389,6 +391,7 @@ def cmd_optimize(args) -> int:
         if curve is not None:
             suffix = f"-model{model_id}" if len(args.scores) > 1 else ""
             write_curve_csv(curve, f"{args.curve_out}{suffix}.csv")
+        del tally  # free this file's scores before the next file is read
     _emit(args, table, payload)
     return 0
 
@@ -455,42 +458,50 @@ def cmd_gen(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # the input is read once, header and all, so it may be a pipe
     with open(args.infile, newline="") as fh:
-        first = fh.readline().strip()
-    header = first.split(",")
+        first = fh.readline()
+        lines = itertools.chain([first], fh)
+        header = first.strip().split(",")
+        if header == TIMING_CSV_HEADER:
+            return _report_timings(args, read_timings_csv(args.infile, lines))
+        if header == RTT_CSV_HEADER:
+            return _report_round_trips(args, read_rtt_csv(args.infile, lines))
+    raise ValueError(f"{args.infile}: unrecognized CSV header {first.strip()!r}")
 
-    if header == TIMING_CSV_HEADER:
-        frame_ids, *durations = read_timings_csv(args.infile)
-        if not frame_ids:
-            raise DegenerateDataError(f"{args.infile} holds no timing rows")
-        stages = _stages_json(summarize_timings(durations))
-        table = ReportTable(
-            title=f"timing summary of {args.infile} ({len(frame_ids)} frames)",
-            headers=["stage", "duration ms"],
-        )
-        for stage, cell in zip(stages, _stage_cells(stages)):
-            table.add_row(stage, cell)
-        _emit(args, table, {"frames": len(frame_ids), "stages": stages})
-        return 0
 
-    if header == RTT_CSV_HEADER:
-        records = read_rtt_csv(args.infile)
-        if len(records) < 2:
-            raise DegenerateDataError(f"{args.infile} holds fewer than two records")
-        summary = _round_trip_json(records)
-        gaps, rtt = summary["inter_arrival_us"], summary["rtt_us"]
-        table = ReportTable(
-            title=f"round-trip summary of {args.infile} ({len(records)} frames)",
-            headers=["metric", "value ms"],
-        )
-        table.add_row("inter-arrival", mean_std_cell(gaps["mean"] / 1000, gaps["std"] / 1000))
-        table.add_row("inter-arrival median", f"{gaps['median'] / 1000:.3f}")
-        table.add_row("rtt", mean_std_cell(rtt["mean"] / 1000, rtt["std"] / 1000))
-        table.add_row("rtt p99", f"{rtt['p99'] / 1000:.3f}")
-        _emit(args, table, {"frames": len(records), **summary})
-        return 0
+def _report_timings(args, columns: list[list]) -> int:
+    """``report`` on the columns of a timing CSV."""
+    frame_ids, *durations = columns
+    if not frame_ids:
+        raise DegenerateDataError(f"{args.infile} holds no timing rows")
+    stages = _stages_json(summarize_timings(durations))
+    table = ReportTable(
+        title=f"timing summary of {args.infile} ({len(frame_ids)} frames)",
+        headers=["stage", "duration ms"],
+    )
+    for stage, cell in zip(stages, _stage_cells(stages)):
+        table.add_row(stage, cell)
+    _emit(args, table, {"frames": len(frame_ids), "stages": stages})
+    return 0
 
-    raise ValueError(f"{args.infile}: unrecognized CSV header {first!r}")
+
+def _report_round_trips(args, records: list) -> int:
+    """``report`` on the records of a round-trip CSV."""
+    if len(records) < 2:
+        raise DegenerateDataError(f"{args.infile} holds fewer than two records")
+    summary = _round_trip_json(records)
+    gaps, rtt = summary["inter_arrival_us"], summary["rtt_us"]
+    table = ReportTable(
+        title=f"round-trip summary of {args.infile} ({len(records)} frames)",
+        headers=["metric", "value ms"],
+    )
+    table.add_row("inter-arrival", mean_std_cell(gaps["mean"] / 1000, gaps["std"] / 1000))
+    table.add_row("inter-arrival median", f"{gaps['median'] / 1000:.3f}")
+    table.add_row("rtt", mean_std_cell(rtt["mean"] / 1000, rtt["std"] / 1000))
+    table.add_row("rtt p99", f"{rtt['p99'] / 1000:.3f}")
+    _emit(args, table, {"frames": len(records), **summary})
+    return 0
 
 
 def build_parser() -> _Parser:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -324,30 +325,36 @@ def read_scores_csv(path: str | Path) -> list[ScoredSequence]:
     )
 
 
-def _parse_score_chunk(
-    seq_id: list[str], score: list[str], label: list[str]
-) -> tuple[list, list, list]:
-    """A chunk of scores CSV columns, accepting only what ``_parse_score_row`` accepts."""
-    ids = list(map(int, seq_id))
+def _parse_score_chunk(seq_id: list[str], score: list[str], label: list[str]) -> tuple:
+    """A chunk of scores CSV columns, accepting only what ``_parse_score_row`` accepts.
+
+    Returns the scores and whether each is drowsy; the ids are checked only.
+    """
+    sum(map(int, seq_id))  # each id must parse, and is not kept
     scores = list(map(float, score))
     # a NaN makes the sum NaN; the labels of other spellings take the row path
     if not (math.isfinite(sum(scores)) and 0.0 <= min(scores) and max(scores) <= 10.0):
         raise ValueError("a score is outside [0, 10]")
     if not _LABEL_FIELDS.keys() >= set(label):
         raise ValueError("a label is not 0 or 10")
-    return ids, scores, list(map(_LABEL_FIELDS.__getitem__, label))
+    return array("d", scores), bytes(map(operator.eq, label, repeat("10")))
 
 
 def read_score_tally(path: str | Path) -> ScoreTally:
     """``ScoreTally.of(read_scores_csv(path))``, folded straight from the columns.
 
     Same checks and messages as ``read_scores_csv``, with no
-    ``ScoredSequence`` built; a file with no rows is degenerate.
+    ``ScoredSequence`` built and no id kept; a file with no rows is
+    degenerate.
     """
-    _, scores, labels = read_columns(path, SCORES_CSV_HEADER, _parse_score_row, _parse_score_chunk)
-    drowsy = compress(scores, map(operator.is_, labels, repeat(Label.DROWSY)))
-    alert = compress(scores, map(operator.is_not, labels, repeat(Label.DROWSY)))
-    return ScoreTally.sorting(drowsy, alert, path)
+    def parse(*fields: str) -> tuple[float, bool]:
+        _, score, label = _parse_score_row(*fields)
+        return score, label is Label.DROWSY
+
+    scores, drowsy = read_columns(path, SCORES_CSV_HEADER, parse, _parse_score_chunk,
+                                  lambda: [array("d"), bytearray()])
+    return ScoreTally.sorting(compress(scores, drowsy),
+                              compress(scores, map(operator.not_, drowsy)), path)
 
 
 def write_curve_csv(curve: ThresholdCurve, path: str | Path) -> None:

@@ -440,8 +440,11 @@ def write_timings_csv(durations: Sequence[Sequence[float]], path: str | Path) ->
     write_csv(path, TIMING_CSV_HEADER, zip(range(len(durations[0])), *durations, strict=True))
 
 
-def read_timings_csv(path: str | Path) -> list[list]:
-    """The five columns of ``TIMING_CSV_HEADER`` in a CSV file; every duration must be finite."""
+def read_timings_csv(path: str | Path, lines: Iterable[str] | None = None) -> list[list]:
+    """The five columns of ``TIMING_CSV_HEADER`` in a CSV file; every duration must be finite.
+
+    ``lines`` are the file's lines when it is already open, as for ``iter_csv``.
+    """
 
     def parse(frame_id: str, *durations: str) -> list:
         row = [int(frame_id)]
@@ -452,7 +455,7 @@ def read_timings_csv(path: str | Path) -> list[list]:
         return row
 
     columns: list[list] = [[] for _ in TIMING_CSV_HEADER]
-    for row in iter_csv(path, TIMING_CSV_HEADER, parse):
+    for row in iter_csv(path, TIMING_CSV_HEADER, parse, lines):
         for column, value in zip(columns, row):
             column.append(value)
     return columns

@@ -4,11 +4,12 @@ column in chunks) and writer."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -53,7 +54,10 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence[objec
         writer.writerows(rows)
 
 
-def iter_csv(path: str | Path, header: list[str], parse: Callable[..., object]) -> Iterator:
+def iter_csv(
+    path: str | Path, header: list[str], parse: Callable[..., object],
+    lines: Iterable[str] | None = None,
+) -> Iterator:
     """One ``parse(*fields)`` record per row, for every CSV format of the package.
 
     The first row must equal ``header``, blank lines are skipped and every
@@ -61,8 +65,11 @@ def iter_csv(path: str | Path, header: list[str], parse: Callable[..., object]) 
     ``ValueError``; so does a bad row, or any ``ValueError`` from
     ``parse``, as ``"PATH line N: ..."``.  Rows are read as the caller
     asks for them, so a caller can fold them into what it needs.
+    ``lines``, when given, are the lines of the file ``path`` names, from
+    its header on, read from a file already open (a pipe can be read only
+    once); otherwise the file is opened here.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="") if lines is None else contextlib.nullcontext(lines) as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first != header:
@@ -115,10 +122,11 @@ def _split_lines(lines: list[str], width: int) -> list[list[str]] | None:
     return [fields[k::width] for k in range(width - 1)] + [last]
 
 
-def _clean_columns(path: str | Path, header: list[str], parse_chunk: Callable) -> list[list] | None:
-    """The columns of plainly clean CSV text, or ``None`` where it is not plainly clean."""
+def _clean_columns(
+    path: str | Path, header: list[str], parse_chunk: Callable, columns: list
+) -> list | None:
+    """``columns`` filled from plainly clean CSV text, or ``None`` unless plainly clean."""
     head = ",".join(header)
-    columns: list[list] = [[] for _ in header]
     with open(path, newline="") as fh:
         # the row path reads the file again, which a pipe cannot give twice
         if not fh.seekable() or fh.readline() not in (head + "\n", head + "\r\n", head):
@@ -137,10 +145,21 @@ def _clean_columns(path: str | Path, header: list[str], parse_chunk: Callable) -
     return columns
 
 
+_ROWS_PER_BATCH = 4096
+
+
 def read_columns(
-    path: str | Path, header: list[str], parse: Callable[..., tuple], parse_chunk: Callable
-) -> list[list]:
-    """One list of values per column of a CSV file, with the rules of ``iter_csv``.
+    path: str | Path,
+    header: list[str],
+    parse: Callable[..., tuple],
+    parse_chunk: Callable,
+    new_columns: Callable[[], list],
+) -> list:
+    """The columns ``new_columns()`` makes, filled from a CSV file by the rules of ``iter_csv``.
+
+    ``new_columns()`` returns one empty column for each value the parsers
+    return: a list, or an ``array`` or ``bytearray`` that holds C values,
+    so a caller keeps only the columns it needs, each in the type it needs.
 
     Plainly clean text is read in chunks of about 64 KiB of whole lines:
     the first line is exactly ``header``, there is no quote or NUL, the
@@ -148,27 +167,32 @@ def read_columns(
     line-breaking character, each non-blank line has one comma fewer than
     the header has columns, and no line is longer than
     ``csv.field_size_limit()``.  Each chunk is split into one list of
-    strings per column, and ``parse_chunk(*columns)`` returns them
-    converted and checked before the next chunk is read, so no string
+    strings per column of the header, and ``parse_chunk(*fields)``
+    returns them converted and checked, one sequence per kept column,
+    which extend the columns before the next chunk is read; so no string
     column of the whole file is ever held.
 
-    On anything else, on any ``ValueError`` from ``parse_chunk``, and for
-    a file that cannot seek, such as a pipe, the file is read (again) as
-    ``iter_csv(path, header, parse)``, where ``parse(*fields)`` returns
-    one row's values as a tuple.  That path words every error, so
-    ``parse_chunk`` may reject more than ``parse`` does, but must accept
-    nothing that ``parse`` rejects and convert every field as ``parse``
-    does.
+    On anything else, on any ``ValueError`` or ``OverflowError`` (a value
+    too large for its C type) from ``parse_chunk`` or from the columns it
+    extends, and for a file that cannot seek, such as a pipe, the columns
+    are made anew and filled from ``iter_csv(path, header, parse)``
+    (reading the file again), in batches of rows, where ``parse(*fields)``
+    returns one row's kept values as a tuple.  That path words every error, so ``parse_chunk``
+    may reject more than ``parse`` does, but must accept nothing that
+    ``parse`` rejects and convert every field as ``parse`` does; and
+    ``parse`` must reject, as a ``ValueError``, any value its column
+    cannot hold.
     """
     try:
-        columns = _clean_columns(path, header, parse_chunk)
-    except ValueError:
+        columns = _clean_columns(path, header, parse_chunk, new_columns())
+    except (ValueError, OverflowError):
         columns = None
     if columns is None:
-        columns = [[] for _ in header]
-        for row in iter_csv(path, header, parse):
-            for column, value in zip(columns, row):
-                column.append(value)
+        columns = new_columns()
+        rows = iter_csv(path, header, parse)
+        while batch := list(islice(rows, _ROWS_PER_BATCH)):
+            for column, values in zip(columns, zip(*batch)):
+                column.extend(values)
     return columns
 
 

@@ -29,6 +29,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .protocol import (  # noqa: F401 - perfbench wraps read_frame/write_frame here
     ECHO_TRAILER,
@@ -362,7 +363,8 @@ def write_rtt_csv(records: list[RoundTripRecord], path: str | Path) -> None:
     write_csv(path, RTT_CSV_HEADER, map(dataclasses.astuple, records))
 
 
-def read_rtt_csv(path: str | Path) -> list[RoundTripRecord]:
+def read_rtt_csv(path: str | Path, lines: Iterable[str] | None = None) -> list[RoundTripRecord]:
+    """The records of a round-trip CSV; ``lines`` are its lines when open, as for ``iter_csv``."""
     return list(
         iter_csv(
             path,
@@ -370,5 +372,6 @@ def read_rtt_csv(path: str | Path) -> list[RoundTripRecord]:
             lambda frame_id, send, recv, rtt, gap: RoundTripRecord(
                 int(frame_id), int(send), int(recv), int(rtt), int(gap) if gap else None
             ),
+            lines,
         )
     )

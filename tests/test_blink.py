@@ -1,6 +1,8 @@
 import csv
 import math
 import re
+import statistics
+from array import array
 
 import pytest
 
@@ -126,6 +128,55 @@ class TestDetectBlinks:
     def test_close_threshold_must_be_positive_and_finite(self, threshold):
         with pytest.raises(ValueError, match="close_threshold must be positive and finite"):
             BlinkDetectionConfig(close_threshold=threshold)
+
+    def test_matches_brute_force_runs_on_random_series(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def cases(draw):
+            threshold = draw(st.sampled_from([0.15, 0.2, 0.3]))
+            # samples exactly at the threshold are open
+            value = st.one_of(st.sampled_from([0.0, threshold, 0.1, 0.35]), st.floats(0.0, 0.5))
+            ear = draw(st.lists(value, min_size=1, max_size=40))
+            first, step = draw(st.integers(-5, 5)), draw(st.integers(1, 3))
+            frame_ids = [first + step * k for k in range(len(ear))]
+            ts_us = [33333 * k for k in range(len(ear))]
+            if draw(st.booleans()):
+                series = EarSeries(tuple(frame_ids), tuple(ts_us), tuple(ear))
+            else:
+                series = EarSeries(array("q", frame_ids), array("q", ts_us), array("d", ear))
+            config = BlinkDetectionConfig(threshold, draw(st.integers(1, 4)))
+            return ear, frame_ids, config, series
+
+        def brute_force_blinks(ear, frame_ids, config):
+            """Every span (i, j) that is closed throughout and open, or the edge, beyond it."""
+            n, closed = len(ear), [e < config.close_threshold for e in ear]
+            blinks = []
+            for i in range(n):
+                for j in range(i + config.min_closed_frames - 1, n):
+                    if (all(closed[i : j + 1]) and (i == 0 or not closed[i - 1])
+                            and (j == n - 1 or not closed[j + 1])):
+                        start, end = max(i - 1, 0), min(j + 1, n - 1)
+                        min_ear = min(ear[i : j + 1])
+                        apex = ear.index(min_ear, i)
+                        preceding = ear[max(0, start - 10) : start] or [ear[start]]
+                        blinks.append(Blink(frame_ids[start], frame_ids[apex], frame_ids[end],
+                                            min_ear, max(statistics.median(preceding), min_ear)))
+            return blinks
+
+        @hypothesis.settings(max_examples=500, deadline=None)
+        @hypothesis.given(cases())
+        # runs touching both ends, and a run of one sample at each end
+        @hypothesis.example(([0.1, 0.1, 0.35, 0.1], [0, 1, 2, 3], BlinkDetectionConfig(0.2, 1),
+                             EarSeries((0, 1, 2, 3), (0, 1, 2, 3), (0.1, 0.1, 0.35, 0.1))))
+        @hypothesis.example(([0.1], [7], BlinkDetectionConfig(0.2, 1),
+                             EarSeries((7,), (0,), (0.1,))))
+        def check(case):
+            ear, frame_ids, config, series = case
+            assert detect_blinks(series, config) == brute_force_blinks(ear, frame_ids, config)
+
+        check()
 
 
 # Oracle for the property test below: the straightforward per-blink

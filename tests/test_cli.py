@@ -922,6 +922,24 @@ class TestReport:
         assert set(rtt) == {"mean", "std", "p50", "p95", "p99", "max"}
         assert rtt["p50"] <= rtt["p95"] <= rtt["p99"] <= rtt["max"]
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    @pytest.mark.parametrize("fmt", ["timings", "rtt"])
+    def test_reads_a_pipe(self, tmp_path, capsys, fmt, flags):
+        write, records, *_ = CSV_FORMATS[fmt]
+        path = tmp_path / f"{fmt}.csv"
+        write(records, path)
+        assert main(["report", "--in", str(path), *flags]) == 0
+        from_file = capsys.readouterr().out
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, path.read_bytes())
+            os.close(write_end)
+            pipe = f"/dev/fd/{read_end}"
+            assert main(["report", "--in", pipe, *flags]) == 0
+        finally:
+            os.close(read_end)
+        assert capsys.readouterr().out == from_file.replace(str(path), pipe)
+
     def test_unknown_header(self, tmp_path, capsys):
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n")

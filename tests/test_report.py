@@ -1,14 +1,17 @@
 import csv
+import gc
 import math
 import re
 import statistics
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from drowsebench import report
 from drowsebench.blink import EAR_CSV_HEADER, EarSample, read_ear_csv
+from drowsebench.cli import main
 from drowsebench.decision import (
     SCORES_CSV_HEADER,
     Label,
@@ -122,7 +125,7 @@ def fields_of(*fields):
 
 
 def string_columns(path):
-    return read_columns(path, ["a", "b", "c"], fields_of, fields_of)
+    return read_columns(path, ["a", "b", "c"], fields_of, fields_of, lambda: [[], [], []])
 
 
 def csv_string_columns(path):
@@ -318,3 +321,82 @@ def test_nul_byte(tmp_path):
     with pytest.raises(ValueError, match="^" + re.escape(f"{path} line 3: ")):
         read_ear_csv(path)
     assert outcome(lambda p: list(read_ear_csv(p)), path) == outcome(ear_rows, path)
+
+
+# ---- frame ids and timestamps are signed 64-bit integers ----
+
+
+def ear_text_with(path, rows, quoted):
+    """Write EAR ``rows``; a quoted field sends the reader to the row path."""
+    if quoted:
+        head, last = rows[0].rsplit(",", 1)
+        rows = [f'{head},"{last}"', *rows[1:]]
+    write_ear_text(path, rows, "\n")
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["chunks", "rows"])
+@pytest.mark.parametrize("column", ["frame_id", "ts_us"])
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+def test_values_outside_64_bits_name_their_line(tmp_path, capsys, quoted, column, value):
+    rows = [["0", "0", "0.3"], ["1", "33333", "0.1"], ["2", "66667", "0.3"]]
+    rows[1][EAR_CSV_HEADER.index(column)] = str(value)
+    path = tmp_path / "ear.csv"
+    ear_text_with(path, [",".join(row) for row in rows], quoted)
+    message = f"{path} line 3: {column} {value} does not fit a signed 64-bit integer"
+    with pytest.raises(ValueError) as raised:
+        read_ear_csv(path)
+    assert str(raised.value) == message
+    assert main(["detect", "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["chunks", "rows"])
+def test_values_at_the_64_bit_bounds_read(tmp_path, request, quoted):
+    if not quoted:
+        request.getfixturevalue("no_row_reader")
+    ends = [-(2**63), 0, 2**63 - 1]
+    path = tmp_path / "ear.csv"
+    ear_text_with(path, [f"{v},{v},0.3" for v in ends], quoted)
+    series = read_ear_csv(path)
+    assert list(series.frame_id) == list(series.ts_us) == ends
+
+
+# ---- memory: typed columns, and no string column of a whole file ----
+
+MEMORY_ROWS = 50_000
+
+
+def bytes_per_row(read, path):
+    """Peak and retained bytes a row that tracemalloc traces while ``read(path)`` runs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        value = read(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del value
+    return peak / MEMORY_ROWS, retained / MEMORY_ROWS
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["chunks", "rows"])
+def test_ear_series_keeps_8_bytes_a_value(tmp_path, quoted):
+    path = tmp_path / "ear.csv"
+    ear_text_with(path, ear_lines(MEMORY_ROWS), quoted)
+    peak, retained = bytes_per_row(read_ear_csv, path)
+    # three 8-byte values a row; boxed numbers in tuples took 105 B/row,
+    # and 130 B/row at the peak
+    assert retained < 40
+    assert peak < 80
+
+
+def test_score_tally_reads_within_a_bounded_peak(tmp_path):
+    path = tmp_path / "scores.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write("id,score,label\n")
+        fh.writelines(f"{k},{(k * 7919) % 1000 / 100!r},{10 * (k % 3 == 0)}\n"
+                      for k in range(MEMORY_ROWS))
+    peak, _ = bytes_per_row(read_score_tally, path)
+    # the tally's sorted tuples of floats take 32 B/row; keeping every id,
+    # score and label object besides them peaked at 100 B/row
+    assert peak < 75
