@@ -59,12 +59,16 @@ class EarSeries(Sequence[EarSample]):
     and iteration build the samples from the columns, and
     ``series[a:b:c]`` with a positive step is the series of the sliced
     columns.  ``EarSeries.of`` and ``read_ear_csv`` build one with frame
-    ids that strictly increase.
+    ids that strictly increase.  A series cannot be hashed, and its
+    columns must not be changed in place.
     """
 
     frame_id: array
     ts_us: array
     ear: array
+
+    # array columns cannot be hashed, so neither can a series
+    __hash__ = None
 
     def __post_init__(self):
         for name, typecode in _COLUMN_TYPECODES.items():
@@ -150,7 +154,7 @@ def detect_blinks(
         if j - i + 1 >= config.min_closed_frames:
             start = max(i - 1, 0)
             end = min(j + 1, n - 1)
-            apex = min(range(i, j + 1), key=values.__getitem__)  # the earliest minimum
+            apex = min(range(i, j + 1), key=lambda k: (values[k], k))
             min_ear = values[apex]
             preceding = values[max(0, start - 10) : start]
             baseline = statistics.median(preceding) if preceding else values[start]

@@ -9,7 +9,7 @@ import csv
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -145,9 +145,6 @@ def _clean_columns(
     return columns
 
 
-_ROWS_PER_BATCH = 4096
-
-
 def read_columns(
     path: str | Path,
     header: list[str],
@@ -176,12 +173,12 @@ def read_columns(
     too large for its C type) from ``parse_chunk`` or from the columns it
     extends, and for a file that cannot seek, such as a pipe, the columns
     are made anew and filled from ``iter_csv(path, header, parse)``
-    (reading the file again), in batches of rows, where ``parse(*fields)``
-    returns one row's kept values as a tuple.  That path words every error, so ``parse_chunk``
-    may reject more than ``parse`` does, but must accept nothing that
-    ``parse`` rejects and convert every field as ``parse`` does; and
-    ``parse`` must reject, as a ``ValueError``, any value its column
-    cannot hold.
+    (reading the file again), where ``parse(*fields)`` returns one row's
+    kept values as a tuple.  That path words every error, so
+    ``parse_chunk`` may reject more than ``parse`` does, but must accept
+    nothing that ``parse`` rejects and convert every field as ``parse``
+    does; and ``parse`` must reject, as a ``ValueError``, any value its
+    column cannot hold.
     """
     try:
         columns = _clean_columns(path, header, parse_chunk, new_columns())
@@ -189,10 +186,9 @@ def read_columns(
         columns = None
     if columns is None:
         columns = new_columns()
-        rows = iter_csv(path, header, parse)
-        while batch := list(islice(rows, _ROWS_PER_BATCH)):
-            for column, values in zip(columns, zip(*batch)):
-                column.extend(values)
+        for row in iter_csv(path, header, parse):
+            for column, value in zip(columns, row):
+                column.append(value)
     return columns
 
 

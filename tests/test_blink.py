@@ -62,6 +62,14 @@ class TestEarSeries:
             with pytest.raises(ValueError, match="keep frame ids increasing"):
                 series[::step]
 
+    def test_columns_are_typed_arrays_and_a_series_is_unhashable(self):
+        series = EarSeries((0, 1), (0, 33), (0.3, 0.2))
+        assert [(c.typecode, c.tolist()) for c in (series.frame_id, series.ts_us, series.ear)] == [
+            ("q", [0, 1]), ("q", [0, 33]), ("d", [0.3, 0.2])
+        ]
+        with pytest.raises(TypeError, match="unhashable type: 'EarSeries'"):
+            hash(series)
+
 
 class TestDetectBlinks:
     def test_constant_open_series(self):
