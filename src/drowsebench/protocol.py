@@ -18,16 +18,21 @@ header and an optional payload.  All integers are little-endian:
 RGB24 frames carry exactly ``width * height * 3`` payload bytes; empty
 frames carry no payload and are useful for header-only protocol tests.
 Echo messages repeat the original frame fields and append the server's
-receive and send timestamps.  Client and server clocks are never
-compared directly; each side only differences its own timestamps.
+receive and send timestamps: when it read the frame's last byte, and
+just before it sent the trailer.  A relay that forwards the payload as
+it arrives has sent the header and payload back by then.  Client and
+server clocks are never compared directly; each side only differences
+its own timestamps.
 
 Besides the message-level codec (``encode_frame``/``decode_frame`` and
 the socket wrappers ``read_frame``/``write_frame``), the module exposes
 what a hot path needs to work on wire bytes in place: ``recv_message``
-reads one checked message into a reused buffer, and ``MSG_IDS`` and
-``ECHO_TRAILER`` pack and unpack the fields that change per message.
-``decode_frame`` and ``recv_message`` check a header with one function,
-so both readers reject a bad header with the same error.
+reads one checked message into a reused buffer, ``recv_header`` reads
+and checks only the header and leaves the payload on the socket for a
+relay to move without copying it, and ``MSG_IDS`` and ``ECHO_TRAILER``
+pack and unpack the fields that change per message.  ``decode_frame``,
+``recv_header`` and ``recv_message`` check a header with one function,
+so every reader rejects a bad header with the same error.
 """
 
 from __future__ import annotations
@@ -218,6 +223,21 @@ def _recv_exact(sock: socket.socket, buf: bytearray, start: int, stop: int) -> b
     return True
 
 
+def recv_header(
+    sock: socket.socket, buf: bytearray, expect: MessageType | None = None
+) -> tuple | None:
+    """Read and check one header into the front of ``buf``, or None on clean EOF.
+
+    Returns the header's fields, as ``(msg_type, frame_id, capture_ts_us,
+    width, height, pixel_format, payload_len)``, followed by the whole
+    message's length.  A message whose type is not ``expect``, when that
+    is given, is rejected.  The payload is left unread on the socket.
+    """
+    if not _recv_exact(sock, buf, 0, HEADER_SIZE):
+        return None
+    return _check_header(buf, expect)
+
+
 def recv_message(
     sock: socket.socket, buf: bytearray, expect: MessageType | None = None
 ) -> int:
@@ -225,13 +245,13 @@ def recv_message(
 
     ``buf`` is meant to be reused for every message of a connection: it
     only grows, and keeps room for an echo trailer after the message, so
-    a relay can append one in place.  The header is checked before the
-    body is read, and a message whose type is not ``expect``, when that
-    is given, is rejected.
+    a relay can append one in place.  The header is checked, as
+    ``recv_header`` checks it, before the body is read.
     """
-    if not _recv_exact(sock, buf, 0, HEADER_SIZE):
+    header = recv_header(sock, buf, expect)
+    if header is None:
         return 0
-    n = _check_header(buf, expect)[-1]
+    n = header[-1]
     _recv_exact(sock, buf, HEADER_SIZE, n)
     if len(buf) < n + ECHO_TRAILER_SIZE:
         buf.extend(bytes(n + ECHO_TRAILER_SIZE - len(buf)))

@@ -9,11 +9,20 @@ Frames are paced against an ideal timeline (frame k is sent at
 ``t0 + k / fps``), so a late frame does not push every later frame
 late: pacing error stays bounded instead of accumulating.
 
-Neither side decodes or re-encodes a frame on the way.  Each reads into
-one buffer per connection with ``recv_message``; the server checks the
-header and relays the received bytes with the echo trailer appended,
-and the client patches the per-frame fields of one encoded frame in
-place and compares each echo byte for byte with what it sent.
+Neither side decodes or re-encodes a frame on the way.  The server
+reads and checks each header with ``recv_header`` and sends it back
+with msg_type set to ECHO.  On Linux it then relays the payload cut
+through, socket to pipe to socket with ``os.splice``, as it arrives,
+so the bytes never enter the process; the trailer's
+``server_recv_ts_us`` is taken once the last payload byte has been
+read, and a frame cut off mid-payload gets back the bytes already
+relayed and then the close, with no trailer.  Header-only frames, and
+platforms without ``os.splice``, take the copy relay: the whole
+message is read into one buffer per connection with ``recv_message``
+and sent back from it with the trailer appended, so a cut-off frame
+gets nothing back.  The client patches the per-frame fields of one
+encoded frame in place and compares each echo byte for byte with what
+it sent.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import contextlib
 import dataclasses
 import logging
 import math
+import os
 import socket
 import statistics
 import struct
@@ -41,9 +51,11 @@ from .protocol import (  # noqa: F401 - perfbench wraps read_frame/write_frame h
     FrameMessage,
     MessageType,
     PixelFormat,
+    TruncatedError,
     encode_frame,
     expected_payload_len,
     read_frame,
+    recv_header,
     recv_message,
     write_frame,
 )
@@ -128,9 +140,10 @@ class EchoServer:
     background thread instead.  Each connection gets its own handler
     thread, so one connection's replies are serialized while multiple
     connections run concurrently.  A frame is not decoded: its header is
-    checked, and the received bytes go back with the msg_type set to ECHO
-    and the trailer appended.  Malformed messages, and messages other than
-    frames, are logged and drop the connection.
+    checked, and its bytes go back with the msg_type set to ECHO and the
+    trailer appended, relayed as the module docstring describes.
+    Malformed messages, and messages other than frames, are logged and
+    drop the connection.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
@@ -164,15 +177,12 @@ class EchoServer:
             ).start()
 
     def _handle(self, conn: socket.socket, peer) -> None:
-        buf = bytearray()
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            while n := recv_message(conn, buf, expect=MessageType.FRAME):
-                recv_ts = monotonic_us()
-                buf[MSG_IDS_OFFSET] = MessageType.ECHO
-                ECHO_TRAILER.pack_into(buf, n, recv_ts, monotonic_us())
-                with memoryview(buf) as view:
-                    conn.sendall(view[: n + ECHO_TRAILER_SIZE])
+            if _SPLICE:
+                _splice_relay(conn)
+            else:
+                _copy_relay(conn)
         except CodecError as exc:
             log.warning("malformed message from %s: %s", peer, exc)
         except OSError:
@@ -205,6 +215,76 @@ class EchoServer:
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+
+# The echo server relays payloads with os.splice where it exists (Linux);
+# tests set this False to run the copy relay there too.
+_SPLICE = hasattr(os, "splice")
+# A larger pipe moves more of a payload per splice: relaying 720p at 30 fps
+# on a 2-vCPU VM, the server spent 0.92 ms of CPU a frame through 1 MiB
+# and 1.14 ms through the default 64 KiB.
+_PIPE_SIZE = 1 << 20
+
+
+def _open_pipe() -> tuple[int, int, int]:
+    """A pipe for the splice relay: its read end, its write end and its capacity in bytes."""
+    import fcntl  # POSIX only, like os.splice; imported where the relay needs it
+
+    read_end, write_end = os.pipe()
+    try:
+        size = fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_SIZE)
+    except OSError:  # beyond the system's pipe-max-size or the user's pipe quota
+        size = fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ)
+    return read_end, write_end, size
+
+
+def _echo_in_place(conn: socket.socket, buf: bytearray, n: int, recv_ts: int) -> None:
+    """Send the ``n``-byte frame at the front of ``buf`` back as its echo."""
+    buf[MSG_IDS_OFFSET] = MessageType.ECHO
+    ECHO_TRAILER.pack_into(buf, n, recv_ts, monotonic_us())
+    with memoryview(buf) as view:
+        conn.sendall(view[: n + ECHO_TRAILER_SIZE])
+
+
+def _copy_relay(conn: socket.socket) -> None:
+    """Echo each frame after reading all of it into one buffer."""
+    buf = bytearray()
+    while n := recv_message(conn, buf, expect=MessageType.FRAME):
+        _echo_in_place(conn, buf, n, monotonic_us())
+
+
+def _splice_relay(conn: socket.socket) -> None:
+    """Echo each frame's payload through a pipe as it arrives; header-only frames in place.
+
+    Each round fills the pipe from the socket and drains it back into
+    the socket, so the pipe is empty whenever the relay waits for the
+    peer.  The socket's descriptor is looked up at every call, so a
+    ``stop()`` that closes it mid-frame ends the relay with an OSError.
+    """
+    pipe_r, pipe_w, pipe_size = _open_pipe()
+    try:
+        buf = bytearray(HEADER_SIZE + ECHO_TRAILER_SIZE)
+        while header := recv_header(conn, buf, expect=MessageType.FRAME):
+            left = header[-2]  # payload_len
+            if not left:
+                _echo_in_place(conn, buf, HEADER_SIZE, monotonic_us())
+                continue
+            buf[MSG_IDS_OFFSET] = MessageType.ECHO
+            with memoryview(buf) as view:
+                conn.sendall(view[:HEADER_SIZE], socket.MSG_MORE)
+            while left:
+                got = os.splice(conn.fileno(), pipe_w, min(left, pipe_size))
+                if not got:
+                    raise TruncatedError("connection closed mid-message")
+                left -= got
+                if not left:
+                    recv_ts = monotonic_us()
+                while got:  # MORE holds a round's last partial segment for the next one
+                    got -= os.splice(pipe_r, conn.fileno(), got, flags=os.SPLICE_F_MORE)
+            conn.sendall(ECHO_TRAILER.pack(recv_ts, monotonic_us()))
+    finally:
+        os.close(pipe_r)
+        os.close(pipe_w)
 
 
 def run_echo_server(host: str, port: int) -> None:

@@ -180,6 +180,18 @@ class TestStreamBench:
         assert entry["inter_arrival_us"]["count"] == 9
         assert entry["raw_bandwidth_bps"] == 921_600
 
+    def test_frames_larger_than_the_relay_pipe(self, tmp_path, capsys):
+        # a 1080p payload is 6.2 MB, six times the echo server's 1 MiB pipe
+        prefix = tmp_path / "rtt"
+        rc = main(["stream-bench", "--loopback", "--fps", "30", "--frames", "3",
+                   "--res", "1920x1080", "--json", "--out", str(prefix)])
+        assert rc == 0
+        entry = json.loads(capsys.readouterr().out)["resolutions"][0]
+        assert entry["resolution"] == "1920x1080"
+        assert entry["inter_arrival_us"]["count"] == 2
+        records = read_rtt_csv(tmp_path / "rtt-1920x1080.csv")
+        assert [r.frame_id for r in records] == [0, 1, 2]
+
     def test_fractional_fps_bandwidth(self, capsys):
         rc = main(["stream-bench", "--loopback", "--fps", "2.5", "--frames", "2",
                    "--res", "8x8", "--json"])

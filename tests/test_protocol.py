@@ -22,6 +22,7 @@ from drowsebench.protocol import (
     encode_frame,
     expected_payload_len,
     read_frame,
+    recv_header,
     recv_message,
 )
 
@@ -301,6 +302,20 @@ class TestRecvMessage:
             n = recv_message(b, buf)
             assert buf[:n] == small and len(buf) == capacity
             assert recv_message(b, buf) == 0
+
+    def test_header_reader_leaves_the_payload_on_the_socket(self):
+        wire = encode_frame(tiny_frame(frame_id=5, capture_ts_us=9))
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5)
+            a.sendall(wire)
+            a.shutdown(socket.SHUT_WR)
+            buf = bytearray()
+            assert recv_header(b, buf) == (
+                MessageType.FRAME, 5, 9, 2, 1, PixelFormat.RGB24, 6, len(wire))
+            assert buf[:HEADER_SIZE] == wire[:HEADER_SIZE]
+            assert b.recv(1024) == wire[HEADER_SIZE:]
+            assert recv_header(b, buf) is None
 
     def test_expect_rejects_other_types_at_the_header(self):
         a, b = socket.socketpair()

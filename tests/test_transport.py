@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import os
 import socket
 import struct
 import threading
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from drowsebench import transport
 from drowsebench.protocol import (
     ECHO_TRAILER_SIZE,
     HEADER_SIZE,
@@ -242,6 +246,90 @@ class TestEchoServer:
             sock.sendall(wire)
             assert_closed_without_reply(sock)
 
+    def test_frame_cut_off_mid_payload_gets_a_prefix_of_its_echo(self, echo_address):
+        # the splice relay has forwarded the header and the 5000 bytes when
+        # the payload ends; the copy relay has sent nothing yet
+        wire = cut_off_frame()
+        with connect(echo_address) as sock:
+            sock.sendall(wire)
+            sock.shutdown(socket.SHUT_WR)
+            reply = recv_until_eof(sock)
+        assert len(reply) <= len(wire)
+        assert echo_of(wire).startswith(reply)
+
+    def test_stop_while_a_frame_is_mid_payload(self, monkeypatch):
+        thread_errors = []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        with EchoServer() as server, connect(server.address) as sock:
+            sock.sendall(cut_off_frame())
+            time.sleep(0.2)  # the handler now waits for the rest of the payload
+            started = time.monotonic()
+            server.stop()
+            assert time.monotonic() - started < 5.0
+            join_handlers()
+            reply = recv_until_eof(sock)
+        assert echo_of(cut_off_frame()).startswith(reply)
+        assert thread_errors == []
+
+    def test_sessions_leave_no_descriptor_open(self):
+        fds = Path("/proc/self/fd")
+        if not fds.is_dir():
+            pytest.skip("needs /proc/self/fd")
+        with EchoServer() as server:
+            join_handlers()
+            before = len(os.listdir(fds))
+            stream_and_measure(*server.address, fps=400, n_frames=4, width=64, height=64)
+            for wire in (cut_off_frame(), b"JUNK" + bytes(HEADER_SIZE - 4)):
+                with connect(server.address) as sock:
+                    sock.sendall(wire)
+                    sock.shutdown(socket.SHUT_WR)
+                    recv_until_eof(sock)
+            join_handlers()
+            assert len(os.listdir(fds)) == before
+
+
+class CopyRelay:
+    """Runs the inherited tests against the copy relay, the fallback where os.splice is missing."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def copy_relay(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transport, "_SPLICE", False)
+            yield
+
+    @pytest.fixture(scope="class")
+    def echo_address(self, copy_relay):
+        with EchoServer() as server:
+            yield server.address
+
+
+class TestStreamAndMeasureCopyRelay(CopyRelay, TestStreamAndMeasure):
+    pass
+
+
+class TestEchoServerCopyRelay(CopyRelay, TestEchoServer):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(os, "splice"), reason="os.splice is Linux-only")
+def test_splice_relay_keeps_the_payload_out_of_the_process():
+    wire = encode_frame(FrameMessage(MessageType.FRAME, 1, 2, 1280, 720, PixelFormat.RGB24,
+                                     pattern(1280 * 720 * 3, 1)))
+    reply = bytearray(len(wire) + ECHO_TRAILER_SIZE)
+    with EchoServer() as server:
+        with connect(server.address) as sock:  # the first connection warms up the server
+            echo_into(sock, wire, reply)
+        with connect(server.address) as sock:
+            tracemalloc.start()
+            try:
+                echo_into(sock, wire, reply)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert reply.startswith(echo_of(wire))
+    # the copy relay reads the 2.7 MB frame into a buffer: about 3.4 MiB
+    assert peak < 64 * 1024
+
 
 def assert_closed_without_reply(sock: socket.socket) -> None:
     try:
@@ -249,6 +337,49 @@ def assert_closed_without_reply(sock: socket.socket) -> None:
     except ConnectionResetError:
         data = b""  # close with unread bytes shows up as a reset
     assert data == b""
+
+
+def join_handlers() -> None:
+    """Wait for every echo server's connection handlers to finish."""
+    for thread in threading.enumerate():
+        if thread.name == "echo-conn":
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+
+
+def cut_off_frame() -> bytes:
+    """The header and the first 5000 of the 12288 payload bytes of a 64x64 frame."""
+    frame = FrameMessage(MessageType.FRAME, 3, 9, 64, 64, PixelFormat.RGB24, pattern(12288, 3))
+    return encode_frame(frame)[: HEADER_SIZE + 5000]
+
+
+def echo_of(wire: bytes) -> bytes:
+    """Frame bytes with msg_type set to ECHO: an echo without its trailer."""
+    echo = bytearray(wire)
+    echo[4] = MessageType.ECHO
+    return bytes(echo)
+
+
+def echo_into(sock: socket.socket, wire: bytes, reply: bytearray) -> None:
+    """Send ``wire`` from a second thread while its echo fills ``reply``."""
+    sender = threading.Thread(target=sock.sendall, args=(wire,))
+    sender.start()
+    got = 0
+    with memoryview(reply) as view:
+        while got < len(reply):
+            n = sock.recv_into(view[got:])
+            if not n:
+                raise EOFError(f"closed after {got} of {len(reply)} bytes")
+            got += n
+    sender.join(timeout=5.0)
+    assert not sender.is_alive()
+
+
+def recv_until_eof(sock: socket.socket) -> bytes:
+    data = bytearray()
+    while chunk := sock.recv(65536):
+        data += chunk
+    return bytes(data)
 
 
 def connect(address) -> socket.socket:
