@@ -9,7 +9,9 @@ with p1/p4 the horizontal corners.  It is invariant under translation,
 rotation and uniform scaling, sits around 0.2-0.4 for an open eye and
 drops toward zero when the eye closes.  A blink is a run of consecutive
 below-threshold samples; its features are amplitude, closing velocity,
-duration and recent frequency.
+duration and recent frequency.  An ``EarSeries`` checks where it is
+built that its frame ids strictly increase, as feature extraction
+bisects on them.
 """
 
 from __future__ import annotations
@@ -49,18 +51,15 @@ _INT64 = range(-(1 << 63), 1 << 63)
 
 
 @dataclass(frozen=True)
-class EarSeries(Sequence[EarSample]):
+class EarSeries:
     """An EAR series as three typed columns; entry k of each is sample k.
 
     ``frame_id`` and ``ts_us`` are ``array('q')`` (signed 64-bit
     integers) and ``ear`` is ``array('d')``, 8 bytes a value; a column
-    given as any other sequence is copied into an array of its type.  It
-    reads as a sequence of ``EarSample``: ``len(series)``, ``series[k]``
-    and iteration build the samples from the columns, and
-    ``series[a:b:c]`` with a positive step is the series of the sliced
-    columns.  ``EarSeries.of`` and ``read_ear_csv`` build one with frame
-    ids that strictly increase.  A series cannot be hashed, and its
-    columns must not be changed in place.
+    given as any other sequence is copied into an array of its type.
+    The columns must have one length, and the frame ids must strictly
+    increase; ``len(series)`` is that length.  A series cannot be
+    hashed, and its columns must not be changed in place.
     """
 
     frame_id: array
@@ -75,30 +74,24 @@ class EarSeries(Sequence[EarSample]):
             column = getattr(self, name)
             if not (isinstance(column, array) and column.typecode == typecode):
                 object.__setattr__(self, name, array(typecode, column))
+        lengths = [len(getattr(self, name)) for name in _COLUMN_TYPECODES]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"columns differ in length: {lengths}")
+        ids = self.frame_id
+        # checked at C level; only a failure walks the pairs to name the first bad one
+        if not all(map(operator.lt, ids, ids[1:])):
+            earlier, later = next((a, b) for a, b in zip(ids, ids[1:]) if b <= a)
+            raise ValueError(f"frame_id {later} does not follow {earlier}")
 
     @classmethod
     def of(cls, samples: Iterable[EarSample]) -> "EarSeries":
-        """The series of ``samples``, read once; their frame ids must strictly increase."""
+        """The series of ``samples``, read once."""
         samples = list(samples)
-        frame_ids = [s.frame_id for s in samples]
-        for earlier, later in zip(frame_ids, frame_ids[1:]):
-            if later <= earlier:
-                raise ValueError(f"frame_id {later} does not follow {earlier}")
-        return cls(frame_ids, [s.ts_us for s in samples], [s.ear for s in samples])
+        return cls([s.frame_id for s in samples], [s.ts_us for s in samples],
+                   [s.ear for s in samples])
 
     def __len__(self) -> int:
         return len(self.frame_id)
-
-    def __getitem__(self, k: int | slice) -> EarSample | EarSeries:
-        if isinstance(k, slice):
-            if k.step is not None and k.step < 0:
-                raise ValueError(f"slice step must be positive to keep frame ids increasing, "
-                                 f"got {k.step}")
-            return EarSeries(self.frame_id[k], self.ts_us[k], self.ear[k])
-        return EarSample(self.frame_id[k], self.ts_us[k], self.ear[k])
-
-    def __iter__(self):
-        return map(EarSample, self.frame_id, self.ts_us, self.ear)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ alarm, thresholds are picked by minimizing a weighted cost
 ``w_fn * fnr + w_fp * fpr`` (defaults 2 and 1) over a fixed grid of 21
 thresholds from 10/3 to 10 in steps of 1/3.
 
-A ``ScoreTally`` sorts each class's scores once and reads the
-confusion matrix at any threshold off them by bisection.  ``sweep``,
+A ``ScoreTally`` sorts each class's scores where it is built and reads
+the confusion matrix at any threshold off them by bisection.  ``sweep``,
 ``optimize_threshold`` and ``compare_to_default`` take a tally, so
 several of them on one dataset share one sort.  ``ScoreTally.of``
 builds it from scored sequences; ``read_score_tally`` folds a scores
@@ -58,7 +58,7 @@ def _check_score(score: float) -> None:
 
 @dataclass(frozen=True, slots=True)
 class ScoredSequence:
-    """One scored observation window with its ground-truth label."""
+    """One scored observation window with its ground-truth label, kept as a ``Label``."""
 
     id: int
     score: float
@@ -66,6 +66,7 @@ class ScoredSequence:
 
     def __post_init__(self):
         _check_score(self.score)
+        object.__setattr__(self, "label", Label(self.label))
 
 
 def threshold_grid() -> list[float]:
@@ -85,33 +86,31 @@ class ConfusionMatrix:
 class ScoreTally:
     """Each class's scores, sorted once: the confusion matrix at any threshold.
 
-    A sequence is predicted Drowsy when its score reaches the threshold,
-    so the misses are the drowsy scores below it, counted by bisection.
-    ``source`` names where the scores came from in error messages.
+    ``drowsy`` and ``alert`` may be any iterables; each is kept sorted in a
+    tuple, and a tally with no scores is degenerate.  A sequence is
+    predicted Drowsy when its score reaches the threshold, so the misses
+    are the drowsy scores below it, counted by bisection.  ``source``
+    names where the scores came from in error messages.
     """
 
     drowsy: tuple[float, ...]
     alert: tuple[float, ...]
     source: object = field(default="dataset", compare=False)
 
-    @classmethod
-    def sorting(
-        cls, drowsy: Iterable[float], alert: Iterable[float], source: object = "dataset"
-    ) -> "ScoreTally":
-        """Sort each class's scores once; a ``source`` with no scores is degenerate."""
-        tally = cls(tuple(sorted(drowsy)), tuple(sorted(alert)), source)
-        if not tally.drowsy and not tally.alert:
-            raise DegenerateDataError(f"{source} holds no scored sequences")
-        return tally
+    def __post_init__(self):
+        object.__setattr__(self, "drowsy", tuple(sorted(self.drowsy)))
+        object.__setattr__(self, "alert", tuple(sorted(self.alert)))
+        if not self.drowsy and not self.alert:
+            raise DegenerateDataError(f"{self.source} holds no scored sequences")
 
     @classmethod
     def of(cls, sequences: Iterable[ScoredSequence]) -> "ScoreTally":
-        """Sort a dataset's drowsy and alert scores, read once; an empty one is degenerate."""
+        """The tally of a dataset's drowsy and alert scores, read once."""
         drowsy: list[float] = []
         alert: list[float] = []
         for seq in sequences:
             (drowsy if seq.label is Label.DROWSY else alert).append(seq.score)
-        return cls.sorting(drowsy, alert)
+        return cls(drowsy, alert)
 
     def at(self, threshold: float) -> ConfusionMatrix:
         """Tally predictions at a threshold; Drowsy is the positive class."""
@@ -353,8 +352,7 @@ def read_score_tally(path: str | Path) -> ScoreTally:
 
     scores, drowsy = read_columns(path, SCORES_CSV_HEADER, parse, _parse_score_chunk,
                                   lambda: [array("d"), bytearray()])
-    return ScoreTally.sorting(compress(scores, drowsy),
-                              compress(scores, map(operator.not_, drowsy)), path)
+    return ScoreTally(compress(scores, drowsy), compress(scores, map(operator.not_, drowsy)), path)
 
 
 def write_curve_csv(curve: ThresholdCurve, path: str | Path) -> None:

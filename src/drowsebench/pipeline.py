@@ -67,6 +67,7 @@ class StageProfile:
 
     ``mean_ms``/``std_ms`` are the moments of the sampled distribution
     itself, so long-run averages converge to ``mean_ms`` exactly.
+    ``name`` and ``dist`` may be given as their string values.
     """
 
     name: StageName
@@ -75,6 +76,8 @@ class StageProfile:
     dist: Distribution = Distribution.TRUNC_NORMAL
 
     def __post_init__(self):
+        object.__setattr__(self, "name", StageName(self.name))
+        object.__setattr__(self, "dist", Distribution(self.dist))
         if not math.isfinite(self.mean_ms) or self.mean_ms <= 0:
             raise ValueError(
                 f"stage {self.name.value}: mean_ms must be positive and finite, got {self.mean_ms}"

@@ -38,7 +38,7 @@ class TestEarSeries:
         series = EarSeries.of(iter(samples))
         assert series == EarSeries.of(samples)
         assert series == EarSeries((0, 2, 4, 6, 8), (0, 1, 2, 3, 4), tuple(s.ear for s in samples))
-        assert list(series) == samples
+        assert list(map(EarSample, series.frame_id, series.ts_us, series.ear)) == samples
         assert EarSeries.of([]) == EarSeries((), (), ())
 
     @pytest.mark.parametrize("frame_ids", [(0, 1, 1), (0, 2, 1)])
@@ -48,19 +48,23 @@ class TestEarSeries:
         with pytest.raises(ValueError, match=message):
             EarSeries.of(samples)
 
-    def test_slices_match_the_sliced_samples(self):
-        series = series_of([0.35, 0.3, 0.2, 0.1, 0.15, 0.25, 0.35])
-        bounds = [None, -9, -3, 0, 2, 7, 9]
-        for a in bounds:
-            for b in bounds:
-                for c in [None, 1, 2, 5]:
-                    sliced = series[a:b:c]
-                    assert isinstance(sliced, EarSeries)
-                    assert sliced == EarSeries.of(list(series)[a:b:c])
-        # a reversed series would break the increasing frame ids
-        for step in (-1, -2):
-            with pytest.raises(ValueError, match="keep frame ids increasing"):
-                series[::step]
+    # built unchecked, (0, 5, 1, 2, 3) would fail only in feature extraction,
+    # with "blink frame 5 not present in series"
+    @pytest.mark.parametrize("frame_ids, pair", [((0, 1, 1), (1, 1)), ((0, 2, 1), (2, 1)),
+                                                 ((3, 2, 1), (3, 2)), ((0, 5, 1, 2, 3), (5, 1))])
+    def test_rejects_frame_ids_that_do_not_increase(self, frame_ids, pair):
+        n = len(frame_ids)
+        message = f"^frame_id {pair[1]} does not follow {pair[0]}$"
+        for column in (frame_ids, array("q", frame_ids)):
+            with pytest.raises(ValueError, match=message):
+                EarSeries(column, range(n), [0.3] * n)
+
+    @pytest.mark.parametrize("lengths", [(2, 1, 2), (3, 3, 0), (0, 1, 1)])
+    def test_rejects_columns_of_unequal_length(self, lengths):
+        columns = [range(lengths[0]), range(lengths[1]), [0.3] * lengths[2]]
+        message = re.escape(f"columns differ in length: {list(lengths)}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EarSeries(*columns)
 
     def test_columns_are_typed_arrays_and_a_series_is_unhashable(self):
         series = EarSeries((0, 1), (0, 33), (0.3, 0.2))
@@ -203,7 +207,7 @@ def reference_extract_features(
     """
     if fps <= 0:
         raise ValueError(f"fps must be positive, got {fps}")
-    index_of = {s.frame_id: k for k, s in enumerate(series)}
+    index_of = {frame_id: k for k, frame_id in enumerate(series.frame_id)}
     try:
         start = index_of[blink.start_frame]
         apex = index_of[blink.apex_frame]
@@ -211,7 +215,7 @@ def reference_extract_features(
         raise ValueError(f"blink frame {exc} not present in series") from None
 
     amplitude = blink.baseline_ear - blink.min_ear
-    drops = [series[k].ear - series[k + 1].ear for k in range(start, apex)]
+    drops = [series.ear[k] - series.ear[k + 1] for k in range(start, apex)]
     velocity = max(drops, default=0.0) * fps
     duration_s = (blink.end_frame - blink.start_frame + 1) / fps
 
@@ -274,7 +278,7 @@ class TestExtractFeatures:
             with pytest.raises(ValueError, match="fps must be positive and finite"):
                 extract_all_features([blink], series, fps=fps)
         with pytest.raises(ValueError, match="blink frame 10 not present in series"):
-            extract_all_features([blink], series[:5], fps=30.0)
+            extract_all_features([blink], series_of([0.35] * 5), fps=30.0)
         with pytest.raises(ValueError, match="apex_frame 14 does not follow 14"):
             extract_all_features([blink, blink], series, fps=30.0)
         earlier = Blink(start_frame=9, apex_frame=13, end_frame=14, min_ear=0.15,

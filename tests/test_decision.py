@@ -87,6 +87,40 @@ class TestConfusion:
         with pytest.raises(ValueError):
             ScoreTally.of([]).at(5.0)
 
+    def test_empty_tally_rejected_where_it_is_built(self):
+        with pytest.raises(DegenerateDataError, match="^dataset holds no scored sequences$"):
+            ScoreTally((), ())
+        with pytest.raises(DegenerateDataError, match="^scores.csv holds no scored sequences$"):
+            ScoreTally(iter(()), [], "scores.csv")
+
+    def test_constructor_sorts_each_class(self):
+        # left unsorted, bisection would count both drowsy scores as misses
+        tally = ScoreTally((9.0, 1.0), (0.5, 8.0))
+        assert (tally.drowsy, tally.alert) == ((1.0, 9.0), (0.5, 8.0))
+        assert tally.at(5.0) == ConfusionMatrix(tp=1, fp=1, tn=1, fn=1)
+
+    def test_constructor_sorts_shuffled_scores(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        grid = threshold_grid()
+        scores = st.one_of(st.sampled_from(grid), st.floats(0.0, 10.0))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.lists(scores, max_size=30), st.lists(scores, max_size=30),
+                          st.randoms(use_true_random=False))
+        def check(drowsy, alert, rng):
+            hypothesis.assume(drowsy or alert)
+            shuffled = [rng.sample(column, len(column)) for column in (drowsy, alert)]
+            tally = ScoreTally(*(iter(column) for column in shuffled))
+            assert tally == ScoreTally(sorted(drowsy), sorted(alert))
+            for t in grid:
+                fn = sum(score < t for score in drowsy)
+                tn = sum(score < t for score in alert)
+                assert tally.at(t) == ConfusionMatrix(
+                    tp=len(drowsy) - fn, fp=len(alert) - tn, tn=tn, fn=fn)
+
+        check()
+
     def test_tally_reads_a_generator_once(self):
         data = dataset((5, 2.0, Label.ALERT), (5, 8.0, Label.DROWSY))
         tally = ScoreTally.of(seq for seq in data)
@@ -355,6 +389,20 @@ class TestScoredSequence:
     def test_label_wire_values(self):
         assert int(Label.ALERT) == 0
         assert int(Label.DROWSY) == 10
+
+    def test_a_plain_int_label_becomes_its_label(self, tmp_path):
+        seq = ScoredSequence(0, 5.0, 10)
+        assert seq.label is Label.DROWSY
+        assert ScoredSequence(1, 5.0, 0).label is Label.ALERT
+        # counted the same before and after a round trip through a file
+        path = tmp_path / "scores.csv"
+        write_scores_csv([seq], path)
+        assert ScoreTally.of([seq]) == ScoreTally.of(read_scores_csv(path))
+        assert ScoreTally.of([seq]) == ScoreTally((5.0,), ())
+
+    def test_a_label_that_is_neither_class_is_rejected(self):
+        with pytest.raises(ValueError, match="^7 is not a valid Label$"):
+            ScoredSequence(0, 1.0, 7)
 
 
 class TestSerialization:

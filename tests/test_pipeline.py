@@ -124,6 +124,26 @@ class TestStageProfile:
             with pytest.raises(ValueError, match="^stage face: std_ms must be non-negative and"):
                 StageProfile(StageName.FACE, 1.0, bad)
 
+    def test_string_values_become_enum_members(self):
+        profile = StageProfile("face", 5.0, 0.0, "deterministic")
+        assert (profile.name, profile.dist) == (StageName.FACE, Distribution.DETERMINISTIC)
+        assert type(profile.name) is StageName and type(profile.dist) is Distribution
+        assert StageProfile("blink", 1.0, 0.5).dist is Distribution.TRUNC_NORMAL
+        # a deterministic stage given by its string value draws nothing either
+        rng = random.Random(0)
+        assert [list(c) for c in _stage_columns([profile], 3, rng)] == [[5000.0] * 3]
+        assert rng.random() == random.Random(0).random()
+
+    def test_string_values_are_checked(self):
+        with pytest.raises(ValueError, match="^stage face: a deterministic stage needs std_ms"):
+            StageProfile("face", 5.0, 1.0, "deterministic")
+        with pytest.raises(ValueError, match="^stage face: mean_ms must be positive and"):
+            StageProfile("face", -1.0)
+        with pytest.raises(ValueError, match="^'nose' is not a valid StageName$"):
+            StageProfile("nose", 1.0)
+        with pytest.raises(ValueError, match="^'gamma' is not a valid Distribution$"):
+            StageProfile("face", 1.0, 0.0, "gamma")
+
     def test_deterministic_sampler_is_constant(self):
         rng = random.Random(0)
         columns = _stage_columns(det_profiles(4.25, 1.0, 0.5), 5, rng)

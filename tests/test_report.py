@@ -114,10 +114,16 @@ def ear_rows(path):
     return list(iter_csv(path, EAR_CSV_HEADER, parse))
 
 
+def ear_samples(path):
+    """The samples of ``read_ear_csv(path)``, read off its columns."""
+    series = read_ear_csv(path)
+    return list(map(EarSample, series.frame_id, series.ts_us, series.ear))
+
+
 def score_rows_tally(path):
     sequences = read_scores_csv(path)
-    return ScoreTally.sorting([s.score for s in sequences if s.label is Label.DROWSY],
-                              [s.score for s in sequences if s.label is not Label.DROWSY], path)
+    return ScoreTally([s.score for s in sequences if s.label is Label.DROWSY],
+                      [s.score for s in sequences if s.label is not Label.DROWSY], path)
 
 
 def fields_of(*fields):
@@ -149,7 +155,7 @@ READERS = {
         lambda k, x: [str(3 * k + 1), str(33333 * k), repr(x)],
         ["nan", "inf", "-inf", "-0.1", "-0.0", "0", " 0.3", "0.3 ", '"0.3"', '"0,3"', "1_0",
          "", "x", "+5", "٣", "1e-3", "0.3\x00", "5\x0c", "0", "-3", "2"],
-        lambda path: list(read_ear_csv(path)),
+        ear_samples,
         ear_rows,
         ["frame_id,ts_us,ear\n0,0,0.3\n1,1,inf\n", "frame_id,ts_us,ear\n0,0,0.3\n1,1,nan\n",
          "frame_id,ts_us,ear\n0,0,0.3\n1,1,-0.1\n", "frame_id,ts_us,ear\n5,0,0.3\n5,1,0.3\n"],
@@ -302,7 +308,7 @@ def test_frame_id_decrease_across_a_chunk_boundary_names_its_line(tmp_path):
     with pytest.raises(ValueError) as raised:
         read_ear_csv(path)
     assert str(raised.value) == f"{path} line {first_chunk + 2}: frame_id {k} does not follow {k}"
-    assert outcome(lambda p: list(read_ear_csv(p)), path) == outcome(ear_rows, path)
+    assert outcome(ear_samples, path) == outcome(ear_rows, path)
 
 
 def test_field_longer_than_the_csv_limit(tmp_path):
@@ -312,7 +318,7 @@ def test_field_longer_than_the_csv_limit(tmp_path):
     with pytest.raises(ValueError) as raised:
         read_ear_csv(path)
     assert str(raised.value) == f"{path} line 3: field larger than field limit ({limit})"
-    assert outcome(lambda p: list(read_ear_csv(p)), path) == outcome(ear_rows, path)
+    assert outcome(ear_samples, path) == outcome(ear_rows, path)
 
 
 def test_nul_byte(tmp_path):
@@ -320,7 +326,7 @@ def test_nul_byte(tmp_path):
     write_ear_text(path, ["0,0,0.3", "1,33333,0.3\x00", "2,66667,0.3"])
     with pytest.raises(ValueError, match="^" + re.escape(f"{path} line 3: ")):
         read_ear_csv(path)
-    assert outcome(lambda p: list(read_ear_csv(p)), path) == outcome(ear_rows, path)
+    assert outcome(ear_samples, path) == outcome(ear_rows, path)
 
 
 # ---- frame ids and timestamps are signed 64-bit integers ----
