@@ -19,7 +19,6 @@ from .blink import (  # noqa: F401
     Blink,
     BlinkDetectionConfig,
     BlinkFeatures,
-    EarSample,
     EarSeries,
     detect_blinks,
     extract_all_features,

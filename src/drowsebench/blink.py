@@ -9,9 +9,10 @@ with p1/p4 the horizontal corners.  It is invariant under translation,
 rotation and uniform scaling, sits around 0.2-0.4 for an open eye and
 drops toward zero when the eye closes.  A blink is a run of consecutive
 below-threshold samples; its features are amplitude, closing velocity,
-duration and recent frequency.  An ``EarSeries`` checks where it is
-built that its frame ids strictly increase, as feature extraction
-bisects on them.
+duration and recent frequency.  An ``EarSeries`` has one constructor,
+which takes its three columns and checks that its frame ids strictly
+increase, as feature extraction bisects on them; ``read_ear_csv`` and
+``synth.gen_ear_series`` both build the columns and call it.
 """
 
 from __future__ import annotations
@@ -31,17 +32,6 @@ from .report import read_columns, write_csv
 
 EAR_CSV_HEADER = ["frame_id", "ts_us", "ear"]
 FEATURES_CSV_HEADER = ["blink_id", "amplitude", "velocity", "duration_s", "freq_per_min"]
-
-
-@dataclass(frozen=True, slots=True)
-class EarSample:
-    frame_id: int
-    ts_us: int
-    ear: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.ear) or self.ear < 0:
-            raise ValueError(f"ear must be finite and non-negative, got {self.ear}")
 
 
 # the columns of an EarSeries and the array typecode of each: "q" is a
@@ -82,13 +72,6 @@ class EarSeries:
         if not all(map(operator.lt, ids, ids[1:])):
             earlier, later = next((a, b) for a, b in zip(ids, ids[1:]) if b <= a)
             raise ValueError(f"frame_id {later} does not follow {earlier}")
-
-    @classmethod
-    def of(cls, samples: Iterable[EarSample]) -> "EarSeries":
-        """The series of ``samples``, read once."""
-        samples = list(samples)
-        return cls([s.frame_id for s in samples], [s.ts_us for s in samples],
-                   [s.ear for s in samples])
 
     def __len__(self) -> int:
         return len(self.frame_id)
@@ -237,20 +220,23 @@ def write_ear_csv(series: EarSeries, path: str | Path) -> None:
 def read_ear_csv(path: str | Path) -> EarSeries:
     """The EAR series of a CSV file; ``frame_id`` must increase from row to row.
 
-    ``frame_id`` and ``ts_us`` must fit a signed 64-bit integer.
+    ``frame_id`` and ``ts_us`` must fit a signed 64-bit integer, and
+    each ``ear`` must be finite and non-negative.
     """
     last_frame_id = None  # of the rows parsed one by one
 
     def parse(frame_id: str, ts_us: str, ear: str) -> tuple[int, int, float]:
         nonlocal last_frame_id
-        sample = EarSample(int(frame_id), int(ts_us), float(ear))
-        for name, value in (("frame_id", sample.frame_id), ("ts_us", sample.ts_us)):
+        frame_id, ts_us, ear = int(frame_id), int(ts_us), float(ear)
+        if not math.isfinite(ear) or ear < 0:
+            raise ValueError(f"ear must be finite and non-negative, got {ear}")
+        for name, value in (("frame_id", frame_id), ("ts_us", ts_us)):
             if value not in _INT64:
                 raise ValueError(f"{name} {value} does not fit a signed 64-bit integer")
-        if last_frame_id is not None and sample.frame_id <= last_frame_id:
-            raise ValueError(f"frame_id {sample.frame_id} does not follow {last_frame_id}")
-        last_frame_id = sample.frame_id
-        return sample.frame_id, sample.ts_us, sample.ear
+        if last_frame_id is not None and frame_id <= last_frame_id:
+            raise ValueError(f"frame_id {frame_id} does not follow {last_frame_id}")
+        last_frame_id = frame_id
+        return frame_id, ts_us, ear
 
     last_chunk_id = -math.inf  # of the chunks parsed column by column
 

@@ -117,8 +117,6 @@ def _parse_resolutions(text: str) -> list[tuple[int, int]]:
             raise UsageError(f"expected WIDTHxHEIGHT, got {item!r}") from None
         if not sep or resolutions[-1][0] <= 0 or resolutions[-1][1] <= 0:
             raise UsageError(f"expected WIDTHxHEIGHT, got {item!r}")
-    if not resolutions:
-        raise UsageError("empty resolution list")
     return resolutions
 
 

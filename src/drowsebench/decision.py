@@ -10,10 +10,10 @@ thresholds from 10/3 to 10 in steps of 1/3.
 A ``ScoreTally`` sorts each class's scores where it is built and reads
 the confusion matrix at any threshold off them by bisection.  ``sweep``,
 ``optimize_threshold`` and ``compare_to_default`` take a tally, so
-several of them on one dataset share one sort.  ``ScoreTally.of``
-builds it from scored sequences; ``read_score_tally`` folds a scores
-CSV's columns straight into one, with the checks of ``read_scores_csv``
-and no ``ScoredSequence`` per row.
+several of them on one dataset share one sort.  A tally has one
+constructor, ``ScoreTally(drowsy, alert)``; ``read_score_tally`` folds a
+scores CSV's columns straight into one, with the checks of
+``read_scores_csv`` and no ``ScoredSequence`` per row.
 
 Several models vote with weights ``2 * tpr + tnr``; the ensemble says
 Drowsy when the weighted share of Drowsy votes exceeds one half.
@@ -102,15 +102,6 @@ class ScoreTally:
         object.__setattr__(self, "alert", tuple(sorted(self.alert)))
         if not self.drowsy and not self.alert:
             raise DegenerateDataError(f"{self.source} holds no scored sequences")
-
-    @classmethod
-    def of(cls, sequences: Iterable[ScoredSequence]) -> "ScoreTally":
-        """The tally of a dataset's drowsy and alert scores, read once."""
-        drowsy: list[float] = []
-        alert: list[float] = []
-        for seq in sequences:
-            (drowsy if seq.label is Label.DROWSY else alert).append(seq.score)
-        return cls(drowsy, alert)
 
     def at(self, threshold: float) -> ConfusionMatrix:
         """Tally predictions at a threshold; Drowsy is the positive class."""
@@ -340,7 +331,7 @@ def _parse_score_chunk(seq_id: list[str], score: list[str], label: list[str]) ->
 
 
 def read_score_tally(path: str | Path) -> ScoreTally:
-    """``ScoreTally.of(read_scores_csv(path))``, folded straight from the columns.
+    """The tally of a scores CSV's drowsy and alert scores, folded from its columns.
 
     Same checks and messages as ``read_scores_csv``, with no
     ``ScoredSequence`` built and no id kept; a file with no rows is

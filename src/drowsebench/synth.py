@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .blink import Blink, EarSample, EarSeries
+from .blink import Blink, EarSeries
 from .decision import Label, ScoredSequence
 
 
@@ -124,10 +124,8 @@ def gen_ear_series(script: BlinkScript) -> tuple[EarSeries, list[Blink]]:
     if script.noise_std > 0:
         rng = random.Random(script.seed)
         values = [max(0.0, v + rng.gauss(0.0, script.noise_std)) for v in values]
-    series = EarSeries.of(
-        EarSample(frame_id=k, ts_us=round(k * 1e6 / script.fps), ear=v)
-        for k, v in enumerate(values)
-    )
+    n = script.total_frames
+    series = EarSeries(range(n), [round(k * 1e6 / script.fps) for k in range(n)], values)
     truth = [
         Blink(
             start_frame=b.onset_frame,

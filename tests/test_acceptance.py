@@ -160,6 +160,11 @@ def _score_groups(*groups):
     return sequences
 
 
+def _tally(sequences):
+    return ScoreTally([s.score for s in sequences if s.label is Label.DROWSY],
+                      [s.score for s in sequences if s.label is not Label.DROWSY])
+
+
 def test_05_percent_change_claims():
     # operating points: default (fpr 0.21, fnr 0.114), optimal
     # (fpr 0.31, fnr 0.043)
@@ -171,8 +176,8 @@ def test_05_percent_change_claims():
         (71, 6.0, Label.DROWSY),
         (886, 7.0, Label.DROWSY),
     )
-    threshold, _ = optimize_threshold(ScoreTally.of(data))
-    cmp = compare_to_default(ScoreTally.of(data), threshold)
+    threshold, _ = optimize_threshold(_tally(data))
+    cmp = compare_to_default(_tally(data), threshold)
     ok = (
         cmp.fpr_change_pct is not None
         and cmp.fnr_change_pct is not None
@@ -231,7 +236,7 @@ def test_06_optimizer_oracle_equivalence():
     for i, data in enumerate(_score_corpus()):
         oracle_costs = [_manual_cost(data, t) for t in grid]
         oracle_best = min(oracle_costs)
-        threshold, rates = optimize_threshold(ScoreTally.of(data))
+        threshold, rates = optimize_threshold(_tally(data))
         got = cost(rates)
         idx = grid.index(threshold)
         if got != oracle_best:
@@ -251,7 +256,7 @@ def test_07_sweep_monotonicity():
     violations = 0
     steps = 0
     for data in _score_corpus():
-        points = sweep(ScoreTally.of(data)).points
+        points = sweep(_tally(data)).points
         for a, b in zip(points, points[1:]):
             steps += 1
             if b.fpr > a.fpr or b.fnr < a.fnr:

@@ -10,7 +10,6 @@ from drowsebench.blink import (
     Blink,
     BlinkDetectionConfig,
     BlinkFeatures,
-    EarSample,
     EarSeries,
     detect_blinks,
     extract_all_features,
@@ -21,33 +20,12 @@ from drowsebench.blink import (
 from drowsebench.synth import evenly_spaced_script, gen_ear_series
 
 
-def series_of(values, fps=30.0):
-    return EarSeries.of(
-        EarSample(frame_id=k, ts_us=round(k * 1e6 / fps), ear=v) for k, v in enumerate(values)
-    )
-
-
-def test_negative_ear_sample_rejected():
-    with pytest.raises(ValueError):
-        EarSample(frame_id=0, ts_us=0, ear=-0.1)
+def series_of(values, fps=30.0, first=0):
+    n = len(values)
+    return EarSeries(range(first, first + n), [round(k * 1e6 / fps) for k in range(n)], values)
 
 
 class TestEarSeries:
-    def test_of_reads_a_generator_once(self):
-        samples = [EarSample(frame_id=2 * k, ts_us=k, ear=0.1 * k) for k in range(5)]
-        series = EarSeries.of(iter(samples))
-        assert series == EarSeries.of(samples)
-        assert series == EarSeries((0, 2, 4, 6, 8), (0, 1, 2, 3, 4), tuple(s.ear for s in samples))
-        assert list(map(EarSample, series.frame_id, series.ts_us, series.ear)) == samples
-        assert EarSeries.of([]) == EarSeries((), (), ())
-
-    @pytest.mark.parametrize("frame_ids", [(0, 1, 1), (0, 2, 1)])
-    def test_of_rejects_frame_ids_that_do_not_increase(self, frame_ids):
-        samples = [EarSample(frame_id=f, ts_us=0, ear=0.3) for f in frame_ids]
-        message = f"^frame_id {frame_ids[2]} does not follow {frame_ids[1]}$"
-        with pytest.raises(ValueError, match=message):
-            EarSeries.of(samples)
-
     # built unchecked, (0, 5, 1, 2, 3) would fail only in feature extraction,
     # with "blink frame 5 not present in series"
     @pytest.mark.parametrize("frame_ids, pair", [((0, 1, 1), (1, 1)), ((0, 2, 1), (2, 1)),
@@ -128,7 +106,7 @@ class TestDetectBlinks:
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
-            detect_blinks(EarSeries.of([]))
+            detect_blinks(EarSeries((), (), ()))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -323,10 +301,7 @@ class TestExtractFeatures:
                 values += run
             values += draw(st.lists(open_ear, min_size=0 if values else 1, max_size=12))
             first = draw(st.integers(0, 5000))
-            series = EarSeries.of(
-                EarSample(frame_id=first + k, ts_us=round(k * 1e6 / fps), ear=v)
-                for k, v in enumerate(values)
-            )
+            series = series_of(values, fps, first)
             config = BlinkDetectionConfig(min_closed_frames=draw(st.integers(1, 3)))
             return series, fps, config
 
@@ -365,6 +340,7 @@ class TestCsv:
             ("2,66667", "expected 3 fields, got 2"),
             ("x,66667,0.3", "invalid literal"),
             ("2,66667,inf", "ear must be finite and non-negative, got inf"),
+            ("2,66667,-0.1", "ear must be finite and non-negative, got -0.1"),
             ("1,66667,0.3", "frame_id 1 does not follow 1"),
         ]:
             path.write_text(f"frame_id,ts_us,ear\n0,0,0.3\n1,33333,0.3\n{bad_row}\n")

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import drowsebench
-from drowsebench.blink import EarSample, EarSeries, read_ear_csv, write_ear_csv
+from drowsebench.blink import EarSeries, read_ear_csv, write_ear_csv
 from drowsebench.cli import main
 from drowsebench.decision import Label, ScoredSequence
 from drowsebench.decision import read_scores_csv, write_scores_csv
@@ -79,6 +79,8 @@ class TestUsageErrors:
             ["detect", "--in", "x.csv", "--close-threshold", "inf", "--min-closed-frames", "1"],
             ["gen", "ear", "--blinks", "1", "--frames", "0", "--out", "x.csv"],
             ["gen", "ear", "--blinks", "1", "--frames", "-5", "--out", "x.csv"],
+            ["stream-bench", "--loopback", "--res", ""],
+            ["stream-bench", "--loopback", "--res", ","],
         ],
     )
     def test_exit_code_1(self, argv, capsys):
@@ -86,7 +88,6 @@ class TestUsageErrors:
         assert "usage" in capsys.readouterr().err
 
 
-EAR_SAMPLES = [EarSample(k, k * 33333, ear) for k, ear in enumerate([0.3, 0.1, 0.1, 0.3])]
 # face, landmark, blink and total duration columns of two frames
 TIMINGS = [[2.0, 2.167], [1.0, 1.25], [0.5, 0.25], [3.5, 3.667]]
 
@@ -94,7 +95,7 @@ TIMINGS = [[2.0, 2.167], [1.0, 1.25], [0.5, 0.25], [3.5, 3.667]]
 CSV_FORMATS = {
     "ear": (
         write_ear_csv,
-        EarSeries.of(EAR_SAMPLES),
+        EarSeries(range(4), [k * 33333 for k in range(4)], [0.3, 0.1, 0.1, 0.3]),
         read_ear_csv,
         None,
         ["detect", "--in"],

@@ -41,6 +41,12 @@ def dataset(*groups):
     return sequences
 
 
+def tally_of(sequences):
+    """The tally of ``sequences``, their drowsy and alert scores given to the constructor."""
+    return ScoreTally([s.score for s in sequences if s.label is Label.DROWSY],
+                      [s.score for s in sequences if s.label is not Label.DROWSY])
+
+
 FOUR_POINT = dataset(
     (1, 2.0, Label.ALERT), (1, 4.0, Label.ALERT), (1, 6.0, Label.DROWSY), (1, 8.0, Label.DROWSY)
 )
@@ -72,20 +78,20 @@ class TestGrid:
 
 class TestConfusion:
     def test_four_point_tally(self):
-        cm = ScoreTally.of(FOUR_POINT).at(10 / 3)
+        cm = tally_of(FOUR_POINT).at(10 / 3)
         assert cm == ConfusionMatrix(tp=2, fp=1, tn=1, fn=0)
 
     def test_threshold_is_inclusive(self):
         # the 4.0 alert reaches a 4.0 threshold, so it is a false alarm
-        assert ScoreTally.of(FOUR_POINT).at(4.0) == ConfusionMatrix(tp=2, fp=1, tn=1, fn=0)
-        assert ScoreTally.of(FOUR_POINT).at(3.999) == ConfusionMatrix(tp=2, fp=1, tn=1, fn=0)
-        assert ScoreTally.of(FOUR_POINT).at(4.001) == ConfusionMatrix(tp=2, fp=0, tn=2, fn=0)
+        assert tally_of(FOUR_POINT).at(4.0) == ConfusionMatrix(tp=2, fp=1, tn=1, fn=0)
+        assert tally_of(FOUR_POINT).at(3.999) == ConfusionMatrix(tp=2, fp=1, tn=1, fn=0)
+        assert tally_of(FOUR_POINT).at(4.001) == ConfusionMatrix(tp=2, fp=0, tn=2, fn=0)
         top = dataset((1, 10.0, Label.DROWSY))
-        assert ScoreTally.of(top).at(10.0) == ConfusionMatrix(tp=1, fp=0, tn=0, fn=0)
+        assert tally_of(top).at(10.0) == ConfusionMatrix(tp=1, fp=0, tn=0, fn=0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ScoreTally.of([]).at(5.0)
+            tally_of([]).at(5.0)
 
     def test_empty_tally_rejected_where_it_is_built(self):
         with pytest.raises(DegenerateDataError, match="^dataset holds no scored sequences$"):
@@ -121,14 +127,9 @@ class TestConfusion:
 
         check()
 
-    def test_tally_reads_a_generator_once(self):
-        data = dataset((5, 2.0, Label.ALERT), (5, 8.0, Label.DROWSY))
-        tally = ScoreTally.of(seq for seq in data)
-        assert tally == ScoreTally.of(data) == ScoreTally((8.0,) * 5, (2.0,) * 5)
-
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
-            ScoreTally.of(FOUR_POINT).at(math.nan)
+            tally_of(FOUR_POINT).at(math.nan)
 
     def test_tally_matches_brute_force(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -159,21 +160,21 @@ class TestConfusion:
                 pairs = [(score, pairs[0][1]) for score, _ in pairs]
             data = [ScoredSequence(i, score, label) for i, (score, label) in enumerate(pairs)]
             expected = {t: brute(data, t) for t in grid}
-            for given in (ScoreTally.of(iter(data)), ScoreTally.of(data)):
-                assert {t: given.at(t) for t in grid} == expected
-                for point in sweep(given).points:
-                    rates = Rates.from_confusion(expected[point.threshold])
-                    assert (point.fpr, point.fnr, point.cost) == (
-                        rates.fpr, rates.fnr, cost(rates)
-                    )
-                cmp = compare_to_default(given, grid[3])
-                opt = Rates.from_confusion(expected[grid[3]])
-                dft = Rates.from_confusion(expected[DEFAULT_THRESHOLD])
-                assert cmp.optimal == CurvePoint(grid[3], opt.fpr, opt.fnr, cost(opt))
-                assert cmp.default == CurvePoint(DEFAULT_THRESHOLD, dft.fpr, dft.fnr, cost(dft))
-                if single_class:
-                    with pytest.raises(DegenerateDataError, match=f"only {pairs[0][1].name} "):
-                        optimize_threshold(given)
+            given = tally_of(data)
+            assert {t: given.at(t) for t in grid} == expected
+            for point in sweep(given).points:
+                rates = Rates.from_confusion(expected[point.threshold])
+                assert (point.fpr, point.fnr, point.cost) == (
+                    rates.fpr, rates.fnr, cost(rates)
+                )
+            cmp = compare_to_default(given, grid[3])
+            opt = Rates.from_confusion(expected[grid[3]])
+            dft = Rates.from_confusion(expected[DEFAULT_THRESHOLD])
+            assert cmp.optimal == CurvePoint(grid[3], opt.fpr, opt.fnr, cost(opt))
+            assert cmp.default == CurvePoint(DEFAULT_THRESHOLD, dft.fpr, dft.fnr, cost(dft))
+            if single_class:
+                with pytest.raises(DegenerateDataError, match=f"only {pairs[0][1].name} "):
+                    optimize_threshold(given)
 
         check()
 
@@ -230,7 +231,7 @@ class TestCost:
 
 @pytest.mark.parametrize("weights", [{"w_fn": math.nan}, {"w_fp": math.inf}, {"w_fn": -1.0}])
 def test_every_cost_caller_rejects_bad_weights(weights):
-    data = ScoreTally.of(gen_score_dataset(ScoreDatasetSpec(50, 50, seed=1)))
+    data = tally_of(gen_score_dataset(ScoreDatasetSpec(50, 50, seed=1)))
     assert optimize_threshold(data)[0] == pytest.approx(14 / 3)
     calls = [
         lambda: sweep(data, **weights),
@@ -244,12 +245,12 @@ def test_every_cost_caller_rejects_bad_weights(weights):
 
 class TestSweep:
     def test_covers_grid_in_order(self):
-        curve = sweep(ScoreTally.of(FOUR_POINT))
+        curve = sweep(tally_of(FOUR_POINT))
         assert [p.threshold for p in curve.points] == threshold_grid()
 
     def test_rates_are_monotone_in_threshold(self):
         for data in (FOUR_POINT, SKEWED):
-            points = sweep(ScoreTally.of(data)).points
+            points = sweep(tally_of(data)).points
             for a, b in zip(points, points[1:]):
                 assert b.fpr <= a.fpr
                 assert b.fnr >= a.fnr
@@ -257,33 +258,33 @@ class TestSweep:
 
 class TestOptimize:
     def test_four_point_optimum(self):
-        threshold, rates = optimize_threshold(ScoreTally.of(FOUR_POINT))
+        threshold, rates = optimize_threshold(tally_of(FOUR_POINT))
         # cost is zero on (4, 6]; the first such grid point wins
         assert threshold == (10 + 3) / 3
         assert (rates.fpr, rates.fnr) == (0.0, 0.0)
 
     def test_all_tie_returns_first_grid_point(self):
         data = dataset((5, 0.0, Label.ALERT), (5, 10.0, Label.DROWSY))
-        threshold, rates = optimize_threshold(ScoreTally.of(data))
+        threshold, rates = optimize_threshold(tally_of(data))
         assert threshold == 10 / 3
         assert (rates.fpr, rates.fnr) == (0.0, 0.0)
 
     def test_separation_at_grid_top(self):
         # only the last grid point clears alert scores sitting just below 10
         data = dataset((5, 9.9, Label.ALERT), (5, 10.0, Label.DROWSY))
-        threshold, rates = optimize_threshold(ScoreTally.of(data))
+        threshold, rates = optimize_threshold(tally_of(data))
         assert threshold == 10.0
         assert (rates.fpr, rates.fnr) == (0.0, 0.0)
 
     def test_single_class_is_degenerate(self):
         with pytest.raises(DegenerateDataError):
-            optimize_threshold(ScoreTally.of(dataset((10, 5.0, Label.ALERT))))
+            optimize_threshold(tally_of(dataset((10, 5.0, Label.ALERT))))
         with pytest.raises(DegenerateDataError):
-            optimize_threshold(ScoreTally.of(dataset((10, 5.0, Label.DROWSY))))
+            optimize_threshold(tally_of(dataset((10, 5.0, Label.DROWSY))))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            optimize_threshold(ScoreTally.of([]))
+            optimize_threshold(tally_of([]))
 
 
 class TestPercentChange:
@@ -298,9 +299,9 @@ class TestPercentChange:
 
 class TestCompareToDefault:
     def test_skewed_dataset(self):
-        threshold, _ = optimize_threshold(ScoreTally.of(SKEWED))
+        threshold, _ = optimize_threshold(tally_of(SKEWED))
         assert threshold == pytest.approx(13 / 3)
-        cmp = compare_to_default(ScoreTally.of(SKEWED), threshold)
+        cmp = compare_to_default(tally_of(SKEWED), threshold)
         assert cmp.optimal.threshold == threshold
         assert cmp.default.threshold == DEFAULT_THRESHOLD
         assert cmp.optimal.fpr == pytest.approx(0.31)
@@ -314,7 +315,7 @@ class TestCompareToDefault:
 
     def test_change_none_when_default_rate_zero(self):
         data = dataset((5, 0.0, Label.ALERT), (5, 10.0, Label.DROWSY))
-        cmp = compare_to_default(ScoreTally.of(data), 10 / 3)
+        cmp = compare_to_default(tally_of(data), 10 / 3)
         assert cmp.fpr_change_pct is None
         assert cmp.fnr_change_pct is None
 
@@ -397,8 +398,8 @@ class TestScoredSequence:
         # counted the same before and after a round trip through a file
         path = tmp_path / "scores.csv"
         write_scores_csv([seq], path)
-        assert ScoreTally.of([seq]) == ScoreTally.of(read_scores_csv(path))
-        assert ScoreTally.of([seq]) == ScoreTally((5.0,), ())
+        assert tally_of([seq]) == tally_of(read_scores_csv(path))
+        assert tally_of([seq]) == ScoreTally((5.0,), ())
 
     def test_a_label_that_is_neither_class_is_rejected(self):
         with pytest.raises(ValueError, match="^7 is not a valid Label$"):
@@ -429,7 +430,7 @@ class TestSerialization:
         with open(path, "a") as fh:
             fh.write("\n900,0.0,00\n901,10,+10\n902,-0.0, 0\n903,3.5,1_0\n")
         tally = read_score_tally(path)
-        assert tally == ScoreTally.of(read_scores_csv(path))
+        assert tally == tally_of(read_scores_csv(path))
         assert len(tally.drowsy) + len(tally.alert) == 504
 
     @pytest.mark.parametrize(
@@ -460,7 +461,7 @@ class TestSerialization:
 
     def test_curve_csv(self, tmp_path):
         path = tmp_path / "curve.csv"
-        write_curve_csv(sweep(ScoreTally.of(FOUR_POINT)), path)
+        write_curve_csv(sweep(tally_of(FOUR_POINT)), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "threshold,fpr,fnr,cost"
         assert len(lines) == 22

@@ -2,7 +2,10 @@ import ast
 import importlib
 import re
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import drowsebench
 
@@ -141,29 +144,96 @@ def test_names_the_benchmark_tracer_wraps_exist():
     assert missing == []
 
 
+def unread_members(trees):
+    """``(module, class, member)`` of each public method or property of a
+    top-level class in ``trees`` that no attribute read outside the
+    member's own body reaches.
+
+    Where one class alone defines a member name, any read of that
+    attribute reaches it.  Where two or more classes do, a read reaches
+    class ``C``'s member only as ``C.name``, or as ``self.name`` or
+    ``cls.name`` inside ``C``'s body.
+    """
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    members = [(module, cls, member) for module, tree in trees.items() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for member in cls.body
+               if isinstance(member, defs) and not member.name.startswith("_")]
+    # member name -> the number of classes that define it; a property's
+    # setter repeats the name in one class
+    definers = Counter(name for name, _ in {(member.name, id(cls)) for _, cls, member in members})
+    reads = {}  # attribute name -> the nodes that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append(node)
+
+    unread = []
+    for module, cls, member in members:
+        own = {id(node) for node in ast.walk(member)}
+        inside = {id(node) for node in ast.walk(cls)}
+
+        def reaches(node):
+            if id(node) in own:
+                return False
+            if definers[member.name] == 1:
+                return True
+            receiver = node.value
+            if getattr(receiver, "id", None) in ("self", "cls"):
+                return id(node) in inside
+            return getattr(receiver, "id", getattr(receiver, "attr", None)) == cls.name
+
+        if not any(map(reaches, reads.get(member.name, ()))):
+            unread.append((module, cls.name, member.name))
+    return unread
+
+
+SHARED_NAME = """
+class A:
+    def of(self): ...
+    def at(self): ...
+
+class B:
+    def of(self): ...
+{b_body}
+def use(x):
+    return A.of(), x.at(){use}
+"""
+
+
+@pytest.mark.parametrize("b_body, use, unread", [
+    # only A.of is read, and a match by name alone would count it for B.of
+    # too; A.at, which no other class defines, is reached through x
+    ("", "", [("m.py", "B", "of")]),
+    # self.of inside B's body reaches B.of
+    ("    def again(self):\n        return self.of()\n", ", x.again()", []),
+], ids=["only-A-of-is-read", "B-reads-self-of"])
+def test_member_guard_resolves_whose_method_a_shared_name_is(b_body, use, unread):
+    source = SHARED_NAME.format(b_body=b_body, use=use)
+    assert unread_members({"m.py": ast.parse(source)}) == unread
+
+
 def test_every_public_name_has_a_caller_in_the_package():
     # a public top-level def or class is read somewhere in src/ outside its
     # own body (an import alone does not count), exported by __init__.py,
     # or wrapped by the benchmark's tracer; a public method or property of
-    # a package class is read as an attribute in src/ outside its own body,
-    # or overrides a base-class member the base calls; anything else serves
-    # only tests
+    # a package class is reached by an attribute read in src/ outside its
+    # own body (see unread_members), or overrides a base-class member the
+    # base calls; anything else serves only tests
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(Path(drowsebench.__file__).parent.glob("*.py"))}
     kept = {alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
             if isinstance(node, ast.ImportFrom) for alias in node.names}
     kept |= {name for _, name in tracer_targets()}
-    loaded, read = {}, {}  # name -> ids of the nodes that read it, as any name / as an attribute
+    loaded = {}  # name -> ids of the nodes that read it
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.setdefault(node.id, set()).add(id(node))
             elif isinstance(node, ast.Attribute):
                 loaded.setdefault(node.attr, set()).add(id(node))
-                read.setdefault(node.attr, set()).add(id(node))
 
-    def has_caller(node, readers):
-        return bool(readers.get(node.name, set()) - {id(inner) for inner in ast.walk(node)})
+    def has_caller(node):
+        return bool(loaded.get(node.name, set()) - {id(inner) for inner in ast.walk(node)})
 
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     unused = []
@@ -171,15 +241,10 @@ def test_every_public_name_has_a_caller_in_the_package():
         for node in tree.body:
             if not isinstance(node, (*defs, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            if node.name not in kept and not has_caller(node, loaded):
+            if node.name not in kept and not has_caller(node):
                 unused.append(f"{module}: {node.name}")
-            if isinstance(node, ast.ClassDef):
-                cls = getattr(importlib.import_module(f"drowsebench.{Path(module).stem}"), node.name)
-                unused += [
-                    f"{module}: {node.name}.{member.name}"
-                    for member in node.body
-                    if isinstance(member, defs) and not member.name.startswith("_")
-                    and not any(hasattr(base, member.name) for base in cls.__mro__[1:])
-                    and not has_caller(member, read)
-                ]
+    for module, name, member in unread_members(trees):
+        cls = getattr(importlib.import_module(f"drowsebench.{Path(module).stem}"), name)
+        if not any(hasattr(base, member) for base in cls.__mro__[1:]):
+            unused.append(f"{module}: {name}.{member}")
     assert unused == [], "no caller in src/: " + ", ".join(unused)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from drowsebench import report
-from drowsebench.blink import EAR_CSV_HEADER, EarSample, read_ear_csv
+from drowsebench.blink import EAR_CSV_HEADER, read_ear_csv
 from drowsebench.cli import main
 from drowsebench.decision import (
     SCORES_CSV_HEADER,
@@ -105,19 +105,21 @@ def ear_rows(path):
 
     def parse(frame_id, ts_us, ear):
         nonlocal last
-        sample = EarSample(int(frame_id), int(ts_us), float(ear))
-        if last is not None and sample.frame_id <= last:
-            raise ValueError(f"frame_id {sample.frame_id} does not follow {last}")
-        last = sample.frame_id
-        return sample
+        frame_id, ts_us, ear = int(frame_id), int(ts_us), float(ear)
+        if not math.isfinite(ear) or ear < 0:
+            raise ValueError(f"ear must be finite and non-negative, got {ear}")
+        if last is not None and frame_id <= last:
+            raise ValueError(f"frame_id {frame_id} does not follow {last}")
+        last = frame_id
+        return frame_id, ts_us, ear
 
     return list(iter_csv(path, EAR_CSV_HEADER, parse))
 
 
 def ear_samples(path):
-    """The samples of ``read_ear_csv(path)``, read off its columns."""
+    """The ``(frame_id, ts_us, ear)`` rows of ``read_ear_csv(path)``, read off its columns."""
     series = read_ear_csv(path)
-    return list(map(EarSample, series.frame_id, series.ts_us, series.ear))
+    return list(zip(series.frame_id, series.ts_us, series.ear))
 
 
 def score_rows_tally(path):

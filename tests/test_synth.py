@@ -208,5 +208,8 @@ class TestScoreDataset:
             n_alert=200, n_drowsy=200, alert_mean=2.0, alert_std=0.5,
             drowsy_mean=8.0, drowsy_std=0.5, seed=7,
         )
-        _, rates = optimize_threshold(ScoreTally.of(gen_score_dataset(spec)))
+        data = gen_score_dataset(spec)
+        tally = ScoreTally([s.score for s in data if s.label is Label.DROWSY],
+                           [s.score for s in data if s.label is Label.ALERT])
+        _, rates = optimize_threshold(tally)
         assert 2 * rates.fnr + rates.fpr < 0.05
