@@ -47,9 +47,10 @@ class EarSeries:
     ``frame_id`` and ``ts_us`` are ``array('q')`` (signed 64-bit
     integers) and ``ear`` is ``array('d')``, 8 bytes a value; a column
     given as any other sequence is copied into an array of its type.
-    The columns must have one length, and the frame ids must strictly
-    increase; ``len(series)`` is that length.  A series cannot be
-    hashed, and its columns must not be changed in place.
+    The columns must have one length, the frame ids must strictly
+    increase, and each EAR must be finite and non-negative;
+    ``len(series)`` is that length.  A series cannot be hashed, and its
+    columns must not be changed in place.
     """
 
     frame_id: array
@@ -72,6 +73,14 @@ class EarSeries:
         if not all(map(operator.lt, ids, ids[1:])):
             earlier, later = next((a, b) for a, b in zip(ids, ids[1:]) if b <= a)
             raise ValueError(f"frame_id {later} does not follow {earlier}")
+        # one C-level pass: sqrt rejects a negative, and a NaN or infinity reaches the sum
+        try:
+            ear_ok = math.isfinite(sum(map(math.sqrt, self.ear)))
+        except ValueError:
+            ear_ok = False
+        if not ear_ok:
+            bad = next(x for x in self.ear if not math.isfinite(x) or x < 0)
+            raise ValueError(f"ear must be finite and non-negative, got {bad}")
 
     def __len__(self) -> int:
         return len(self.frame_id)

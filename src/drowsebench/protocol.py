@@ -26,13 +26,17 @@ its own timestamps.
 
 Besides the message-level codec (``encode_frame``/``decode_frame`` and
 the socket wrappers ``read_frame``/``write_frame``), the module exposes
-what a hot path needs to work on wire bytes in place: ``recv_message``
-reads one checked message into a reused buffer, ``recv_header`` reads
-and checks only the header and leaves the payload on the socket for a
-relay to move without copying it, and ``MSG_IDS`` and ``ECHO_TRAILER``
-pack and unpack the fields that change per message.  ``decode_frame``,
-``recv_header`` and ``recv_message`` check a header with one function,
-so every reader rejects a bad header with the same error.
+what a hot path needs to work on wire bytes in place: ``encode_header``
+encodes one header without a payload, so a sender can check the header
+before it builds any payload and send the payload from buffers of its
+own; ``recv_message`` reads one checked message into a reused buffer,
+``recv_header`` reads and checks only the header and leaves the payload
+on the socket for a relay to move without copying it, and ``MSG_IDS``
+and ``ECHO_TRAILER`` pack and unpack the fields that change per message.
+``encode_frame`` writes its header with ``encode_header``, and
+``decode_frame``, ``recv_header`` and ``recv_message`` check a header
+with one function, so every writer and every reader treats a header the
+same way.
 """
 
 from __future__ import annotations
@@ -140,39 +144,64 @@ class FrameMessage:
     server_send_ts_us: int | None = None
 
 
+def _pack(fields: struct.Struct, *values) -> bytes:
+    try:
+        return fields.pack(*values)
+    except struct.error as exc:
+        raise CodecError(f"field out of range of its wire type: {exc}") from None
+
+
+def encode_header(
+    msg_type: MessageType,
+    frame_id: int,
+    capture_ts_us: int,
+    width: int,
+    height: int,
+    pixel_format: PixelFormat,
+    payload_len: int,
+) -> bytes:
+    """The ``HEADER_SIZE`` header bytes of one message; ``CodecError`` if they cannot be encoded.
+
+    An unknown ``msg_type`` or ``pixel_format``, or a field out of range
+    of its wire type, is rejected; either may be a plain int.
+    ``payload_len`` is not checked against the dimensions.
+    """
+    try:
+        msg_type = MessageType(msg_type)
+    except ValueError:
+        raise UnknownMessageTypeError(f"unknown msg_type {msg_type!r}") from None
+    try:
+        pixel_format = PixelFormat(pixel_format)
+    except ValueError:
+        raise UnknownPixelFormatError(f"unknown pixel_format {pixel_format!r}") from None
+    return MAGIC + _pack(_HEADER, msg_type, frame_id, capture_ts_us, width, height,
+                         pixel_format, payload_len)
+
+
 def encode_frame(msg: FrameMessage) -> bytes:
     """Serialize a message to wire bytes; ``CodecError`` if it is not a valid message.
 
     ``msg_type`` and ``pixel_format`` may be plain ints; they are encoded
-    as the enum members of the same value.
+    as the enum members of the same value.  The header is checked first,
+    by ``encode_header``, then the payload length and the timestamps.
     """
-    try:
-        msg_type = MessageType(msg.msg_type)
-    except ValueError:
-        raise UnknownMessageTypeError(f"unknown msg_type {msg.msg_type!r}") from None
-    try:
-        pixel_format = PixelFormat(msg.pixel_format)
-    except ValueError:
-        raise UnknownPixelFormatError(f"unknown pixel_format {msg.pixel_format!r}") from None
-    expected = expected_payload_len(pixel_format, msg.width, msg.height)
+    header = encode_header(msg.msg_type, msg.frame_id, msg.capture_ts_us, msg.width,
+                           msg.height, msg.pixel_format, len(msg.payload))
+    expected = expected_payload_len(msg.pixel_format, msg.width, msg.height)
     if len(msg.payload) != expected:
-        raise PayloadSizeError(f"{pixel_format.name} {msg.width}x{msg.height} payload "
-                               f"must be {expected} bytes, got {len(msg.payload)}")
+        raise PayloadSizeError(f"{PixelFormat(msg.pixel_format).name} {msg.width}x{msg.height} "
+                               f"payload must be {expected} bytes, got {len(msg.payload)}")
     timestamps = (msg.server_recv_ts_us, msg.server_send_ts_us)
-    if msg_type is not MessageType.ECHO:
+    echo = msg.msg_type == MessageType.ECHO
+    if not echo:
         if timestamps != (None, None):
             raise CodecError("frame message must not carry server timestamps")
     elif None in timestamps:
         raise CodecError("echo message requires server timestamps")
     elif msg.server_recv_ts_us > msg.server_send_ts_us:
         raise CodecError("server_recv_ts_us must not exceed server_send_ts_us")
-    try:
-        header = _HEADER.pack(msg_type, msg.frame_id, msg.capture_ts_us, msg.width,
-                              msg.height, pixel_format, len(msg.payload))
-        trailer = ECHO_TRAILER.pack(*timestamps) if msg_type is MessageType.ECHO else b""
-    except struct.error as exc:
-        raise CodecError(f"field out of range of its wire type: {exc}") from None
-    return b"".join((MAGIC, header, msg.payload, trailer))
+    trailer = _pack(ECHO_TRAILER, *timestamps) if echo else b""
+    return b"".join((header, msg.payload, trailer))
 
 
 def decode_frame(data: bytes) -> FrameMessage:

@@ -20,9 +20,15 @@ relayed and then the close, with no trailer.  Header-only frames, and
 platforms without ``os.splice``, take the copy relay: the whole
 message is read into one buffer per connection with ``recv_message``
 and sent back from it with the trailer appended, so a cut-off frame
-gets nothing back.  The client patches the per-frame fields of one
-encoded frame in place and compares each echo byte for byte with what
-it sent.
+gets nothing back.
+
+The client holds no copy of a whole frame.  Its payload is a test
+pattern with a 256-byte period, stamped with the frame id in its first
+8 bytes.  The client patches the per-frame fields of a small head (the
+header and the stamp) in place, and sends the rest of the payload from
+one tile of the pattern, piece by piece.  It reads each echo whole into
+one buffer and compares it byte for byte, head and then each piece,
+with what it sent.
 """
 
 from __future__ import annotations
@@ -48,11 +54,10 @@ from .protocol import (  # noqa: F401 - perfbench wraps read_frame/write_frame h
     MSG_IDS,
     MSG_IDS_OFFSET,
     CodecError,
-    FrameMessage,
     MessageType,
     PixelFormat,
     TruncatedError,
-    encode_frame,
+    encode_header,
     expected_payload_len,
     read_frame,
     recv_header,
@@ -315,16 +320,37 @@ def _sleep_until(deadline_us: int) -> None:
 
 
 _STAMP = struct.Struct("<Q")
+# The payload after its stamp is sent and checked from one tile of at most
+# this many bytes, a whole number of the pattern's 256-byte periods.
+_TILE = 1 << 18
+# Where the platform has it, MSG_MORE holds a frame's leading pieces for its last one.
+_MSG_MORE = getattr(socket, "MSG_MORE", 0)
 
 
-def _test_pattern(n: int) -> bytes:
-    """``n`` bytes of ``(i * 31 + 7) & 0xFF``, tiled from its 256-byte period."""
+def _test_pattern(n: int) -> tuple[bytes, list[memoryview]]:
+    """``n`` bytes of ``(i * 31 + 7) & 0xFF``: its first 8 bytes, then the rest in pieces.
+
+    The pieces are views of one tile of whole 256-byte periods, at most
+    ``_TILE`` bytes, filled in place by doubling, so no ``n``-byte buffer
+    is ever built.  Every piece is the whole tile but the last.
+    """
     period = bytes((i * 31 + 7) & 0xFF for i in range(256))
-    return (period * (n // 256 + 1))[:n]
+    lead = period[: min(n, _STAMP.size)]
+    rest = n - len(lead)
+    if not rest:
+        return lead, []
+    tile = memoryview(bytearray(min(_TILE, -(-rest // 256) * 256)))
+    tile[:256] = period[_STAMP.size :] + period[: _STAMP.size]
+    filled = 256
+    while filled < len(tile):
+        step = min(filled, len(tile) - filled)
+        tile[filled : filled + step] = tile[:step]
+        filled += step
+    return lead, [tile[: min(len(tile), rest - at)] for at in range(0, rest, len(tile))]
 
 
 def _stamp(wire: bytearray, msg_type: MessageType, frame_id: int, capture_ts_us: int) -> None:
-    """Patch one frame's fields into encoded wire bytes, in place.
+    """Patch one frame's fields into its head (the header and the payload's lead), in place.
 
     Payloads of 8 bytes or more also carry the frame id in their first 8
     bytes, so an echo of the wrong frame's payload cannot pass.
@@ -350,9 +376,9 @@ def stream_and_measure(
     thread reads echoes, so sending never blocks on receiving.  Every
     echo must come back in order, byte-identical to the frame sent apart
     from its msg_type, with server timestamps that do not run backwards;
-    any violation raises ProtocolError and shuts the socket down, so the
-    sender stops at its next frame.  Returns one record per frame,
-    sorted by frame_id.
+    any violation, a malformed echo included, raises ProtocolError and
+    shuts the socket down, so the sender stops at its next frame.
+    Returns one record per frame, sorted by frame_id.
     """
     if not 0 < fps < math.inf:
         raise ValueError(f"fps must be positive and finite, got {fps}")
@@ -360,14 +386,18 @@ def stream_and_measure(
         raise ValueError(f"need at least 2 frames, got {n_frames}")
 
     payload_len = expected_payload_len(pixel_format, width, height)
-    try:  # the header's u16 dimensions and u32 payload_len, before the payload exists
-        struct.pack("<HHI", width, height, payload_len)
-    except struct.error as exc:
-        raise CodecError(f"field out of range of its wire type: {exc}") from None
-    wire = bytearray(encode_frame(FrameMessage(
-        MessageType.FRAME, 0, 0, width, height, pixel_format, _test_pattern(payload_len)
-    )))
-    expected = bytearray(wire)  # the receiver's copy: the sender patches ``wire`` meanwhile
+    # the header is checked before any payload-sized buffer exists
+    head = bytearray(encode_header(MessageType.FRAME, 0, 0, width, height, pixel_format,
+                                   payload_len))
+    lead, pieces = _test_pattern(payload_len)
+    head += lead
+    echo_head = bytearray(head)  # the receiver's copy: the sender patches ``head`` meanwhile
+    sends = list(zip([head, *pieces], [_MSG_MORE] * len(pieces) + [0]))  # MORE on all but the last
+    checks, at = [], 0  # each part of an echo, and where it starts
+    for part in [echo_head, *pieces]:
+        checks.append((part, at))
+        at += len(part)
+    buf = bytearray(HEADER_SIZE + payload_len + ECHO_TRAILER_SIZE)
     period_us = 1e6 / fps
     send_ts: dict[int, int] = {}
     sender_error: list[BaseException] = []
@@ -381,9 +411,10 @@ def stream_and_measure(
                 for k in range(n_frames):
                     _sleep_until(int(t0 + k * period_us))
                     now = monotonic_us()
-                    _stamp(wire, MessageType.FRAME, k, now)
+                    _stamp(head, MessageType.FRAME, k, now)
                     send_ts[k] = now
-                    sock.sendall(wire)
+                    for part, flags in sends:
+                        sock.sendall(part, flags)
             except BaseException as exc:  # surfaced by the receive loop
                 sender_error.append(exc)
 
@@ -392,10 +423,12 @@ def stream_and_measure(
 
         records: list[RoundTripRecord] = []
         prev_recv: int | None = None
-        buf = bytearray()
         try:
             for k in range(n_frames):
-                n = recv_message(sock, buf)
+                try:
+                    n = recv_message(sock, buf)
+                except CodecError as exc:
+                    raise ProtocolError(f"bad echo after {len(records)} echoes: {exc}") from exc
                 recv = monotonic_us()
                 if not n:
                     raise ProtocolError(
@@ -407,9 +440,9 @@ def stream_and_measure(
                     raise ProtocolError(f"expected an echo, got {MessageType(msg_type).name}")
                 if frame_id != k:
                     raise ProtocolError(f"echo out of order: expected {k}, got {frame_id}")
-                _stamp(expected, MessageType.ECHO, k, send_ts[k])
+                _stamp(echo_head, MessageType.ECHO, k, send_ts[k])
                 # startswith is one memcmp; comparing a memoryview to bytes goes per byte
-                if not buf.startswith(expected):
+                if not all(buf.startswith(part, at) for part, at in checks):
                     raise ProtocolError(f"echo of frame {k} differs from the frame sent")
                 server_recv, server_send = ECHO_TRAILER.unpack_from(buf, n - ECHO_TRAILER_SIZE)
                 if server_recv > server_send:

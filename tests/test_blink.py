@@ -2,6 +2,7 @@ import csv
 import math
 import re
 import statistics
+import sys
 from array import array
 
 import pytest
@@ -43,6 +44,19 @@ class TestEarSeries:
         message = re.escape(f"columns differ in length: {list(lengths)}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             EarSeries(*columns)
+
+    # unchecked, this series gave one blink with min_ear=-1.0 and lost the
+    # closed run at frames 1-3, which the NaN split
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_rejects_an_ear_that_is_not_finite_and_non_negative(self, bad):
+        ear = [0.3, 0.1, bad, 0.1, 0.3, -1.0, -1.0, 0.3]
+        with pytest.raises(ValueError, match=f"^ear must be finite and non-negative, got {bad}$"):
+            EarSeries(range(8), range(8), ear)
+
+    def test_accepts_negative_zero_and_the_largest_ear(self):
+        # as in read_ear_csv, -0.0 is not below 0
+        ear = [-0.0, sys.float_info.max, sys.float_info.max]
+        assert EarSeries(range(3), range(3), ear).ear.tolist() == ear
 
     def test_columns_are_typed_arrays_and_a_series_is_unhashable(self):
         series = EarSeries((0, 1), (0, 33), (0.3, 0.2))

@@ -7,6 +7,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,14 @@ from drowsebench.cli import main
 from drowsebench.decision import Label, ScoredSequence
 from drowsebench.decision import read_scores_csv, write_scores_csv
 from drowsebench.pipeline import read_timings_csv, write_timings_csv
-from drowsebench.protocol import FrameMessage, MessageType, PixelFormat, encode_frame, read_frame
+from drowsebench.protocol import (
+    HEADER_SIZE,
+    FrameMessage,
+    MessageType,
+    PixelFormat,
+    encode_frame,
+    read_frame,
+)
 from drowsebench.transport import RoundTripRecord, read_rtt_csv, write_rtt_csv
 
 MEAN_STD = re.compile(r"\d+\.\d{3} ± \d+\.\d{3}")
@@ -214,6 +222,31 @@ class TestStreamBench:
                    "--fps", "100", "--frames", "2", "--res", "8x8"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_cut_off_echo_exits_2(self, capsys):
+        # the server sends 40 bytes of the first frame's echo, then closes
+        frame_len = HEADER_SIZE + 8 * 8 * 3
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(5.0)
+
+            def serve():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(5.0)
+                    got = b""
+                    while len(got) < frame_len and (chunk := conn.recv(frame_len - len(got))):
+                        got += chunk
+                    conn.sendall(got[:40])
+
+            server = threading.Thread(target=serve, daemon=True)
+            server.start()
+            rc = main(["stream-bench", "--connect", f"127.0.0.1:{listener.getsockname()[1]}",
+                       "--fps", "100", "--frames", "2", "--res", "8x8"])
+            server.join(timeout=5.0)
+            assert not server.is_alive()
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: bad echo after 0 echoes: connection closed mid-message\n")
 
     def test_oversized_frame_exits_2_before_its_payload_exists(self, monkeypatch, capsys):
         # 65535x65535 rgb24 is a 12.9 GB payload, beyond the u32 payload_len

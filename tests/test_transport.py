@@ -409,6 +409,8 @@ class FakeServer:
 
     Each echo is the frame with its msg_type set to ECHO and a trailer
     appended; ``tamper(k, echo, frames)`` may change echo ``k`` first.
+    An echo that ``tamper`` cuts shorter than its frame is the last: the
+    server closes the connection after sending it.
     """
 
     def __init__(self, frame_len: int, tamper=lambda k, echo, frames: None):
@@ -433,6 +435,8 @@ class FakeServer:
                     echo += struct.pack("<QQ", 10, 20)
                     self.tamper(len(self.frames) - 1, echo, self.frames)
                     conn.sendall(echo)
+                    if len(echo) < len(frame):
+                        break
             except (EOFError, OSError):
                 pass
 
@@ -465,6 +469,31 @@ def stale_frame_id(k, echo, frames):
 def trailer_backwards(k, echo, frames):
     if k == 2:
         echo[-ECHO_TRAILER_SIZE:] = struct.pack("<QQ", 20, 10)
+
+
+def cut_off_echo(k, echo, frames):
+    if k == 2:
+        del echo[40:]
+
+
+def bad_magic(k, echo, frames):
+    if k == 2:
+        echo[:4] = b"JUNK"
+
+
+def flip_byte_at(offset):
+    def tamper(k, echo, frames):
+        if k == 2:
+            echo[HEADER_SIZE + offset] ^= 0x01
+    return tamper
+
+
+def client_session(width, height, tamper=lambda k, echo, frames: None, n_frames=5):
+    """Stream ``n_frames`` RGB24 frames to a FakeServer; the records and the frames it got."""
+    with FakeServer(HEADER_SIZE + width * height * 3, tamper) as server:
+        records = stream_and_measure(*server.address, fps=200, n_frames=n_frames,
+                                     width=width, height=height, timeout_s=5.0)
+    return records, server.frames
 
 
 class TestClientWire:
@@ -515,6 +544,61 @@ class TestClientWire:
             elapsed = time.monotonic() - started
         assert elapsed < 1.0
         assert len(server.frames) <= 30
+
+
+class TestMalformedEcho:
+    # the echo reader's CodecError would escape a caller that handles ProtocolError
+    @pytest.mark.parametrize("tamper, message", [
+        (cut_off_echo, "^bad echo after 2 echoes: connection closed mid-message$"),
+        (bad_magic, "^bad echo after 2 echoes: bad magic b'JUNK'$"),
+    ])
+    def test_raises_protocol_error(self, tamper, message):
+        with pytest.raises(ProtocolError, match=message):
+            client_session(4, 3, tamper)
+
+
+# the client sends and checks the payload after its 8-byte stamp from a tile
+# of up to 256 KiB: 640x480 is the stamp, 3 whole tiles and a partial one
+TILE = 1 << 18
+PAYLOAD_640x480 = 640 * 480 * 3
+
+
+class TestClientWireAcrossTiles:
+    def test_frames_sent_are_encoded_frames(self):
+        assert 3 * TILE < PAYLOAD_640x480 - 8 < 4 * TILE
+        records, frames = client_session(640, 480, n_frames=3)
+        payload = pattern(PAYLOAD_640x480, 0)
+        assert len(frames) == len(records) == 3
+        for k, (record, wire) in enumerate(zip(records, frames)):
+            assert wire == encode_frame(FrameMessage(
+                MessageType.FRAME, k, record.send_ts_us, 640, 480, PixelFormat.RGB24,
+                k.to_bytes(8, "little") + payload[8:],
+            ))
+
+    @pytest.mark.parametrize("offset", [
+        pytest.param(8 + TILE + 1000, id="middle-tile"),
+        pytest.param(8 + 3 * TILE + 1000, id="partial-tile"),
+        pytest.param(PAYLOAD_640x480 - 1, id="last-byte"),
+    ])
+    def test_flipped_byte_raises(self, offset):
+        with pytest.raises(ProtocolError, match="^echo of frame 2 differs from the frame sent$"):
+            client_session(640, 480, flip_byte_at(offset))
+
+
+@pytest.mark.skipif(not hasattr(os, "splice"), reason="the copy relay holds a frame in process")
+def test_stream_client_holds_one_frame():
+    # a 720p payload is 2.64 MiB: the client's receive buffer holds one echo,
+    # and nothing else it keeps is frame-sized
+    payload = 1280 * 720 * 3
+    with EchoServer() as server:
+        stream_and_measure(*server.address, fps=30, n_frames=4, width=1280, height=720)
+        tracemalloc.start()
+        try:
+            stream_and_measure(*server.address, fps=30, n_frames=4, width=1280, height=720)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5 * payload
 
 
 class TestRttCsv:
