@@ -10,8 +10,9 @@ rotation and uniform scaling, sits around 0.2-0.4 for an open eye and
 drops toward zero when the eye closes.  A blink is a run of consecutive
 below-threshold samples; its features are amplitude, closing velocity,
 duration and recent frequency.  An ``EarSeries`` has one constructor,
-which takes its three columns and checks that its frame ids strictly
-increase, as feature extraction bisects on them; ``read_ear_csv`` and
+which takes its three columns and is the one check of their values:
+the frame ids strictly increase, as feature extraction bisects on them,
+and each EAR is finite and non-negative.  ``read_ear_csv`` and
 ``synth.gen_ear_series`` both build the columns and call it.
 """
 
@@ -247,27 +248,15 @@ def read_ear_csv(path: str | Path) -> EarSeries:
         last_frame_id = frame_id
         return frame_id, ts_us, ear
 
-    last_chunk_id = -math.inf  # of the chunks parsed column by column
-
     def parse_chunk(frame_id: list[str], ts_us: list[str], ear: list[str]) -> tuple[array, ...]:
-        nonlocal last_chunk_id
-        frame_ids = list(map(int, frame_id))
-        ears = list(map(float, ear))
-        # a NaN or an infinity makes the sum NaN or infinite
-        if not (math.isfinite(sum(ears)) and min(ears) >= 0):
-            raise ValueError("an EAR is negative or not finite")
-        if not (last_chunk_id < frame_ids[0] and all(map(operator.lt, frame_ids, frame_ids[1:]))):
-            raise ValueError("frame ids do not increase")
-        last_chunk_id = frame_ids[-1]
         # an array built from a list converts each value in one pass; an id or
-        # timestamp out of the 64-bit range raises OverflowError, which
-        # read_columns answers by reading the file row by row
-        return array("q", frame_ids), array("q", list(map(int, ts_us))), array("d", ears)
+        # timestamp out of the 64-bit range raises OverflowError, and
+        # EarSeries checks the rest
+        return (array("q", list(map(int, frame_id))), array("q", list(map(int, ts_us))),
+                array("d", list(map(float, ear))))
 
-    def new_columns() -> list[array]:
-        return [array(typecode) for typecode in _COLUMN_TYPECODES.values()]
-
-    return EarSeries(*read_columns(path, EAR_CSV_HEADER, parse, parse_chunk, new_columns))
+    return read_columns(path, EAR_CSV_HEADER, parse, parse_chunk,
+                        lambda: list(map(array, _COLUMN_TYPECODES.values())), EarSeries)
 
 
 def write_features_csv(features: Iterable[BlinkFeatures], path: str | Path) -> None:

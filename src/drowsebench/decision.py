@@ -7,12 +7,13 @@ alarm, thresholds are picked by minimizing a weighted cost
 ``w_fn * fnr + w_fp * fpr`` (defaults 2 and 1) over a fixed grid of 21
 thresholds from 10/3 to 10 in steps of 1/3.
 
-A ``ScoreTally`` sorts each class's scores where it is built and reads
-the confusion matrix at any threshold off them by bisection.  ``sweep``,
+A ``ScoreTally`` sorts each class's scores where it is built, checks
+them as ``ScoredSequence`` checks its score, and reads the confusion
+matrix at any threshold off them by bisection.  ``sweep``,
 ``optimize_threshold`` and ``compare_to_default`` take a tally, so
 several of them on one dataset share one sort.  A tally has one
 constructor, ``ScoreTally(drowsy, alert)``; ``read_score_tally`` folds a
-scores CSV's columns straight into one, with the checks of
+scores CSV's columns straight into one, with the messages of
 ``read_scores_csv`` and no ``ScoredSequence`` per row.
 
 Several models vote with weights ``2 * tpr + tnr``; the ensemble says
@@ -87,7 +88,8 @@ class ScoreTally:
     """Each class's scores, sorted once: the confusion matrix at any threshold.
 
     ``drowsy`` and ``alert`` may be any iterables; each is kept sorted in a
-    tuple, and a tally with no scores is degenerate.  A sequence is
+    tuple.  Each score must be within [0, 10], as a ``ScoredSequence``'s,
+    and a tally with no scores is degenerate.  A sequence is
     predicted Drowsy when its score reaches the threshold, so the misses
     are the drowsy scores below it, counted by bisection.  ``source``
     names where the scores came from in error messages.
@@ -98,8 +100,14 @@ class ScoreTally:
     source: object = field(default="dataset", compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "drowsy", tuple(sorted(self.drowsy)))
-        object.__setattr__(self, "alert", tuple(sorted(self.alert)))
+        for name in ("drowsy", "alert"):
+            scores = tuple(sorted(getattr(self, name)))
+            object.__setattr__(self, name, scores)
+            # one C-level pass: the sorted ends bound the rest, and a NaN, which
+            # sorts anywhere, makes the sum NaN; only a failure walks the scores
+            if scores and not (0 <= scores[0] and scores[-1] <= 10 and sum(scores) >= 0):
+                for score in scores:
+                    _check_score(score)
         if not self.drowsy and not self.alert:
             raise DegenerateDataError(f"{self.source} holds no scored sequences")
 
@@ -316,18 +324,14 @@ def read_scores_csv(path: str | Path) -> list[ScoredSequence]:
 
 
 def _parse_score_chunk(seq_id: list[str], score: list[str], label: list[str]) -> tuple:
-    """A chunk of scores CSV columns, accepting only what ``_parse_score_row`` accepts.
+    """A chunk of scores CSV columns converted: the scores, and whether each is drowsy.
 
-    Returns the scores and whether each is drowsy; the ids are checked only.
+    ``ScoreTally`` checks the scores; the labels of other spellings take the row path.
     """
     sum(map(int, seq_id))  # each id must parse, and is not kept
-    scores = list(map(float, score))
-    # a NaN makes the sum NaN; the labels of other spellings take the row path
-    if not (math.isfinite(sum(scores)) and 0.0 <= min(scores) and max(scores) <= 10.0):
-        raise ValueError("a score is outside [0, 10]")
     if not _LABEL_FIELDS.keys() >= set(label):
         raise ValueError("a label is not 0 or 10")
-    return array("d", scores), bytes(map(operator.eq, label, repeat("10")))
+    return array("d", list(map(float, score))), bytes(map(operator.eq, label, repeat("10")))
 
 
 def read_score_tally(path: str | Path) -> ScoreTally:
@@ -341,9 +345,12 @@ def read_score_tally(path: str | Path) -> ScoreTally:
         _, score, label = _parse_score_row(*fields)
         return score, label is Label.DROWSY
 
-    scores, drowsy = read_columns(path, SCORES_CSV_HEADER, parse, _parse_score_chunk,
-                                  lambda: [array("d"), bytearray()])
-    return ScoreTally(compress(scores, drowsy), compress(scores, map(operator.not_, drowsy)), path)
+    def tally(scores: array, drowsy: bytearray) -> ScoreTally:
+        return ScoreTally(compress(scores, drowsy), compress(scores, map(operator.not_, drowsy)),
+                          path)
+
+    return read_columns(path, SCORES_CSV_HEADER, parse, _parse_score_chunk,
+                        lambda: [array("d"), bytearray()], tally)
 
 
 def write_curve_csv(curve: ThresholdCurve, path: str | Path) -> None:

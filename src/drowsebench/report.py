@@ -151,8 +151,9 @@ def read_columns(
     parse: Callable[..., tuple],
     parse_chunk: Callable,
     new_columns: Callable[[], list],
-) -> list:
-    """The columns ``new_columns()`` makes, filled from a CSV file by the rules of ``iter_csv``.
+    build: Callable[..., object],
+) -> object:
+    """``build(*columns)``, the columns ``new_columns()`` makes filled by ``iter_csv``'s rules.
 
     ``new_columns()`` returns one empty column for each value the parsers
     return: a list, or an ``array`` or ``bytearray`` that holds C values,
@@ -165,31 +166,32 @@ def read_columns(
     the header has columns, and no line is longer than
     ``csv.field_size_limit()``.  Each chunk is split into one list of
     strings per column of the header, and ``parse_chunk(*fields)``
-    returns them converted and checked, one sequence per kept column,
-    which extend the columns before the next chunk is read; so no string
-    column of the whole file is ever held.
+    returns them converted, one sequence per kept column, which extend
+    the columns before the next chunk is read; so no string column of the
+    whole file is ever held.
 
     On anything else, on any ``ValueError`` or ``OverflowError`` (a value
-    too large for its C type) from ``parse_chunk`` or from the columns it
-    extends, and for a file that cannot seek, such as a pipe, the columns
-    are made anew and filled from ``iter_csv(path, header, parse)``
-    (reading the file again), where ``parse(*fields)`` returns one row's
-    kept values as a tuple.  That path words every error, so
-    ``parse_chunk`` may reject more than ``parse`` does, but must accept
-    nothing that ``parse`` rejects and convert every field as ``parse``
-    does; and ``parse`` must reject, as a ``ValueError``, any value its
-    column cannot hold.
+    too large for its C type) from ``parse_chunk``, the columns or
+    ``build``, and for a file that cannot seek, such as a pipe, the
+    columns are made anew and filled from ``iter_csv(path, header,
+    parse)`` (reading the file again), where ``parse(*fields)`` returns
+    one row's kept values as a tuple.  So ``parse_chunk`` converts, the
+    columns and ``build`` check, and ``parse`` names the line: it must
+    reject, as a ``ValueError``, each row that the columns or ``build``
+    would refuse.  ``parse_chunk`` may refuse a field that ``parse``
+    accepts, but must convert every field it accepts as ``parse`` does.
     """
     try:
         columns = _clean_columns(path, header, parse_chunk, new_columns())
+        if columns is not None:
+            return build(*columns)
     except (ValueError, OverflowError):
-        columns = None
-    if columns is None:
-        columns = new_columns()
-        for row in iter_csv(path, header, parse):
-            for column, value in zip(columns, row):
-                column.append(value)
-    return columns
+        pass
+    columns = new_columns()
+    for row in iter_csv(path, header, parse):
+        for column, value in zip(columns, row):
+            column.append(value)
+    return build(*columns)
 
 
 # a ratio scaled to at least 2**108 has a root of at least 55 bits: a double's

@@ -143,6 +143,13 @@ class TestConfusion:
             st.floats(0.0, 10.0),
         )
         labels = st.sampled_from(list(Label))
+        # a few more scores of any float, most of them outside [0, 10], put among the others
+        edges = [math.nan, math.inf, -math.inf, -0.0, 10.0,
+                 math.nextafter(0.0, -1.0), math.nextafter(10.0, 11.0)]
+        strays = st.lists(
+            st.tuples(st.one_of(st.sampled_from(edges), st.floats()), labels, st.integers(0, 30)),
+            max_size=2,
+        )
 
         def brute(data, threshold):
             drowsy = [s.score >= threshold for s in data if s.label is Label.DROWSY]
@@ -151,13 +158,28 @@ class TestConfusion:
                 tp=sum(drowsy), fp=sum(alert), tn=alert.count(False), fn=drowsy.count(False)
             )
 
-        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.settings(max_examples=600, deadline=None)
         @hypothesis.given(
-            st.lists(st.tuples(scores, labels), min_size=1, max_size=30), st.booleans()
+            st.lists(st.tuples(scores, labels), min_size=1, max_size=30), strays, st.booleans()
         )
-        def check(pairs, single_class):
+        def check(pairs, strays, single_class):
+            pairs = list(pairs)
+            for score, label, k in strays:
+                pairs.insert(k, (score, label))
             if single_class:
                 pairs = [(score, pairs[0][1]) for score, _ in pairs]
+            rejected = []
+            for i, (score, label) in enumerate(pairs):
+                try:
+                    ScoredSequence(i, score, label)
+                except ValueError as exc:
+                    rejected.append(str(exc))
+            if rejected:
+                with pytest.raises(ValueError) as raised:
+                    ScoreTally([score for score, label in pairs if label is Label.DROWSY],
+                               [score for score, label in pairs if label is not Label.DROWSY])
+                assert str(raised.value) in rejected
+                return
             data = [ScoredSequence(i, score, label) for i, (score, label) in enumerate(pairs)]
             expected = {t: brute(data, t) for t in grid}
             given = tally_of(data)
@@ -177,6 +199,32 @@ class TestConfusion:
                     optimize_threshold(given)
 
         check()
+
+    def test_tally_rejects_a_nan_that_hid_a_miss(self):
+        with pytest.raises(ValueError, match=r"^score must be within \[0, 10\], got nan$"):
+            ScoreTally([9.0, math.nan, 2.0], [1.0, 8.0])
+        # a NaN, which sorts anywhere, can leave 2.0 where bisection does not
+        # count it as a miss; without the NaN, 2.0 is a miss at 25/3
+        assert ScoreTally([9.0, 2.0], [1.0, 8.0]).at(25 / 3) == ConfusionMatrix(
+            tp=1, fp=0, tn=2, fn=1)
+
+    @pytest.mark.parametrize("drowsy", [True, False], ids=["drowsy", "alert"])
+    @pytest.mark.parametrize("score", [
+        math.nan, math.inf, -math.inf, -1.0, 11.0,
+        math.nextafter(0.0, -1.0), math.nextafter(10.0, 11.0),
+    ])
+    def test_tally_rejects_a_score_outside_0_10_in_either_class(self, drowsy, score):
+        scores = [[4.0, 6.0], [3.0, 7.0]]
+        scores[not drowsy].insert(1, score)
+        with pytest.raises(ValueError) as raised:
+            ScoreTally(*scores)
+        assert str(raised.value) == f"score must be within [0, 10], got {score}"
+
+    def test_tally_accepts_the_ends_of_0_10(self):
+        ends = [0.0, -0.0, 10.0]
+        tally = ScoreTally(ends, ends)
+        assert tally.at(0.0) == ConfusionMatrix(tp=3, fp=3, tn=0, fn=0)
+        assert tally.at(10.0) == ConfusionMatrix(tp=1, fp=1, tn=2, fn=2)
 
     def test_rates_identities(self):
         rates = Rates.from_confusion(ConfusionMatrix(tp=2, fp=1, tn=1, fn=0))

@@ -19,7 +19,7 @@ from drowsebench.decision import (
     read_score_tally,
     read_scores_csv,
 )
-from drowsebench.report import iter_csv, pstdev, read_columns
+from drowsebench.report import iter_csv, pstdev, read_columns, write_csv
 
 
 def _check_pstdev(oracle):
@@ -133,7 +133,8 @@ def fields_of(*fields):
 
 
 def string_columns(path):
-    return read_columns(path, ["a", "b", "c"], fields_of, fields_of, lambda: [[], [], []])
+    return read_columns(path, ["a", "b", "c"], fields_of, fields_of, lambda: [[], [], []],
+                        lambda *columns: list(columns))
 
 
 def csv_string_columns(path):
@@ -262,6 +263,16 @@ def test_column_reader_matches_row_reader_on_mutated_files(fmt, tmp_path):
     check()
 
 
+@pytest.mark.parametrize("hint", [1, 64])
+@pytest.mark.parametrize("fmt", sorted(READERS))
+def test_column_reader_matches_row_reader_across_chunk_boundaries(fmt, hint, tmp_path,
+                                                                  monkeypatch):
+    # a chunk of one line, or of a few: repeated ids, blank lines and bad
+    # values then fall on the boundaries between chunks
+    monkeypatch.setattr(report, "_CHUNK_HINT", hint)
+    test_column_reader_matches_row_reader_on_mutated_files(fmt, tmp_path)
+
+
 def write_ear_text(path, rows, end="\r\n", last_end=True):
     with open(path, "w", newline="") as fh:
         fh.write(end.join([",".join(EAR_CSV_HEADER), *rows]) + (end if last_end else ""))
@@ -311,6 +322,38 @@ def test_frame_id_decrease_across_a_chunk_boundary_names_its_line(tmp_path):
         read_ear_csv(path)
     assert str(raised.value) == f"{path} line {first_chunk + 2}: frame_id {k} does not follow {k}"
     assert outcome(ear_samples, path) == outcome(ear_rows, path)
+
+
+def lines_in_first_chunk(path):
+    with open(path, newline="") as fh:
+        fh.readline()
+        return len(fh.readlines(report._CHUNK_HINT))
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (None, None, None),
+    ("score", "nan", "score must be within [0, 10], got nan"),
+    ("score", "11", "score must be within [0, 10], got 11.0"),
+    ("label", "5", "5 is not a valid Label"),
+])
+def test_bad_score_in_a_later_chunk_names_its_line(tmp_path, request, column, value, message):
+    path = tmp_path / "scores.csv"
+    rows = [[str(k), repr(k % 1001 / 100), "10" if k % 3 else "0"] for k in range(9000)]
+    write_csv(path, SCORES_CSV_HEADER, rows)
+    first_chunk = lines_in_first_chunk(path)
+    assert first_chunk < len(rows)
+    if column is None:
+        expected = score_rows_tally(path)
+        request.getfixturevalue("no_row_reader")
+        assert read_score_tally(path) == expected
+        return
+    k = first_chunk + 3  # a row of the second chunk
+    rows[k][SCORES_CSV_HEADER.index(column)] = value
+    write_csv(path, SCORES_CSV_HEADER, rows)
+    with pytest.raises(ValueError) as raised:
+        read_score_tally(path)
+    assert str(raised.value) == f"{path} line {k + 2}: {message}"
+    assert outcome(read_score_tally, path) == outcome(score_rows_tally, path)
 
 
 def test_field_longer_than_the_csv_limit(tmp_path):
