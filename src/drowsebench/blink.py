@@ -255,8 +255,7 @@ def read_ear_csv(path: str | Path) -> EarSeries:
         return (array("q", list(map(int, frame_id))), array("q", list(map(int, ts_us))),
                 array("d", list(map(float, ear))))
 
-    return read_columns(path, EAR_CSV_HEADER, parse, parse_chunk,
-                        lambda: list(map(array, _COLUMN_TYPECODES.values())), EarSeries)
+    return read_columns(path, EAR_CSV_HEADER, parse, parse_chunk, EarSeries)
 
 
 def write_features_csv(features: Iterable[BlinkFeatures], path: str | Path) -> None:

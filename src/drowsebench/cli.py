@@ -110,12 +110,12 @@ def _parse_endpoint(text: str) -> tuple[str, int]:
 def _parse_resolutions(text: str) -> list[tuple[int, int]]:
     resolutions = []
     for item in text.split(","):
-        w, sep, h = item.partition("x")
+        w, _, h = item.partition("x")  # without an "x", h is empty and int(h) raises
         try:
             resolutions.append((int(w), int(h)))
         except ValueError:
             raise UsageError(f"expected WIDTHxHEIGHT, got {item!r}") from None
-        if not sep or resolutions[-1][0] <= 0 or resolutions[-1][1] <= 0:
+        if resolutions[-1][0] <= 0 or resolutions[-1][1] <= 0:
             raise UsageError(f"expected WIDTHxHEIGHT, got {item!r}")
     return resolutions
 

@@ -331,7 +331,7 @@ def _parse_score_chunk(seq_id: list[str], score: list[str], label: list[str]) ->
     sum(map(int, seq_id))  # each id must parse, and is not kept
     if not _LABEL_FIELDS.keys() >= set(label):
         raise ValueError("a label is not 0 or 10")
-    return array("d", list(map(float, score))), bytes(map(operator.eq, label, repeat("10")))
+    return array("d", list(map(float, score))), bytearray(map(operator.eq, label, repeat("10")))
 
 
 def read_score_tally(path: str | Path) -> ScoreTally:
@@ -349,8 +349,7 @@ def read_score_tally(path: str | Path) -> ScoreTally:
         return ScoreTally(compress(scores, drowsy), compress(scores, map(operator.not_, drowsy)),
                           path)
 
-    return read_columns(path, SCORES_CSV_HEADER, parse, _parse_score_chunk,
-                        lambda: [array("d"), bytearray()], tally)
+    return read_columns(path, SCORES_CSV_HEADER, parse, _parse_score_chunk, tally)
 
 
 def write_curve_csv(curve: ThresholdCurve, path: str | Path) -> None:

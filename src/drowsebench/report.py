@@ -87,31 +87,25 @@ def iter_csv(
 
 
 _CHUNK_HINT = 1 << 16  # about 64 KiB of whole lines per chunk
-# a quote and a NUL, which csv.reader treats apart, and the line breaks of
-# str.splitlines other than "\n" and "\r" (a "\r" may only end a line, in
-# "\r\n"): csv.reader keeps these inside a field as the split would, but
-# a file that holds one is read row by row rather than rely on that
-_UNCLEAN = '"\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
+# a quote and a NUL, which csv.reader treats apart from other characters
+_UNCLEAN = '"\x00'
 
 
 def _split_lines(lines: list[str], width: int) -> list[list[str]] | None:
     """One list of fields per column of whole CSV lines, or ``None`` unless plainly clean.
 
-    The lines, joined with commas, split into ``width`` fields each, and
-    each line's end must fall in its last field; so every line has
-    ``width - 1`` commas.
+    The lines end in ``\\n``.  Joined with commas, they split into
+    ``width`` fields each, and each line's end must fall in its last
+    field; so every line has ``width - 1`` commas.
     """
-    end = "\r\n" if lines[0].endswith("\r\n") else "\n"
     if not lines[-1].endswith("\n"):  # a file's last line may lack its end
-        lines[-1] += end
+        lines[-1] += "\n"
     text = ",".join(lines)
     fields = text.split(",")
     if len(fields) != width * len(lines):
         return None
-    last = "".join(fields[width - 1 :: width]).split(end)
+    last = "".join(fields[width - 1 :: width]).split("\n")
     if len(last) != len(lines) + 1:
-        return None
-    if text.count("\r") != (len(lines) if end == "\r\n" else 0):
         return None
     if any(map(text.__contains__, _UNCLEAN)):
         return None
@@ -125,16 +119,20 @@ def _split_lines(lines: list[str], width: int) -> list[list[str]] | None:
 def _clean_columns(
     path: str | Path, header: list[str], parse_chunk: Callable, columns: list
 ) -> list | None:
-    """``columns`` filled from plainly clean CSV text, or ``None`` unless plainly clean."""
+    """``columns`` filled from plainly clean CSV text, or ``None`` unless plainly clean.
+
+    The file is read with universal newlines, which end a line at
+    ``\\r\\n``, ``\\r`` or ``\\n`` as ``csv.reader`` does in unquoted text.
+    """
     head = ",".join(header)
-    with open(path, newline="") as fh:
+    with open(path) as fh:
         # the row path reads the file again, which a pipe cannot give twice
-        if not fh.seekable() or fh.readline() not in (head + "\n", head + "\r\n", head):
+        if not fh.seekable() or fh.readline() not in (head + "\n", head):
             return None
         while lines := fh.readlines(_CHUNK_HINT):
             fields = _split_lines(lines, len(header))
             if fields is None:  # blank lines are skipped, as by iter_csv
-                lines = [line for line in lines if line not in ("\n", "\r\n")]
+                lines = [line for line in lines if line != "\n"]
                 if not lines:
                     continue
                 fields = _split_lines(lines, len(header))
@@ -150,24 +148,22 @@ def read_columns(
     header: list[str],
     parse: Callable[..., tuple],
     parse_chunk: Callable,
-    new_columns: Callable[[], list],
     build: Callable[..., object],
 ) -> object:
-    """``build(*columns)``, the columns ``new_columns()`` makes filled by ``iter_csv``'s rules.
+    """``build(*columns)``, the columns that ``parse_chunk`` makes filled by ``iter_csv``'s rules.
 
-    ``new_columns()`` returns one empty column for each value the parsers
-    return: a list, or an ``array`` or ``bytearray`` that holds C values,
-    so a caller keeps only the columns it needs, each in the type it needs.
+    ``parse_chunk(*fields)`` takes one list of strings per column of the
+    header and returns them converted, one sequence per kept column: a
+    list, or an ``array`` or ``bytearray`` that holds C values, so a
+    caller keeps only the columns it needs, each in the type it needs.
+    Called on empty lists, it makes the empty columns.
 
     Plainly clean text is read in chunks of about 64 KiB of whole lines:
-    the first line is exactly ``header``, there is no quote or NUL, the
-    lines of a chunk all end in ``\\n`` or all in ``\\r\\n``, with no other
-    line-breaking character, each non-blank line has one comma fewer than
-    the header has columns, and no line is longer than
-    ``csv.field_size_limit()``.  Each chunk is split into one list of
-    strings per column of the header, and ``parse_chunk(*fields)``
-    returns them converted, one sequence per kept column, which extend
-    the columns before the next chunk is read; so no string column of the
+    the first line is exactly ``header``, there is no quote or NUL, each
+    non-blank line has one comma fewer than the header has columns, and
+    no line is longer than ``csv.field_size_limit()``.  Each chunk is
+    split into its columns, and what ``parse_chunk`` returns extends the
+    columns before the next chunk is read; so no string column of the
     whole file is ever held.
 
     On anything else, on any ``ValueError`` or ``OverflowError`` (a value
@@ -181,6 +177,9 @@ def read_columns(
     would refuse.  ``parse_chunk`` may refuse a field that ``parse``
     accepts, but must convert every field it accepts as ``parse`` does.
     """
+    def new_columns() -> list:
+        return list(parse_chunk(*([] for _ in header)))
+
     try:
         columns = _clean_columns(path, header, parse_chunk, new_columns())
         if columns is not None:

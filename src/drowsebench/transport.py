@@ -331,21 +331,16 @@ def _test_pattern(n: int) -> tuple[bytes, list[memoryview]]:
     """``n`` bytes of ``(i * 31 + 7) & 0xFF``: its first 8 bytes, then the rest in pieces.
 
     The pieces are views of one tile of whole 256-byte periods, at most
-    ``_TILE`` bytes, filled in place by doubling, so no ``n``-byte buffer
-    is ever built.  Every piece is the whole tile but the last.
+    ``_TILE`` bytes, so no ``n``-byte buffer is ever built.  Every piece
+    is the whole tile but the last.
     """
     period = bytes((i * 31 + 7) & 0xFF for i in range(256))
     lead = period[: min(n, _STAMP.size)]
     rest = n - len(lead)
     if not rest:
         return lead, []
-    tile = memoryview(bytearray(min(_TILE, -(-rest // 256) * 256)))
-    tile[:256] = period[_STAMP.size :] + period[: _STAMP.size]
-    filled = 256
-    while filled < len(tile):
-        step = min(filled, len(tile) - filled)
-        tile[filled : filled + step] = tile[:step]
-        filled += step
+    tile = memoryview((period[_STAMP.size :] + period[: _STAMP.size])
+                      * min(_TILE // 256, -(-rest // 256)))
     return lead, [tile[: min(len(tile), rest - at)] for at in range(0, rest, len(tile))]
 
 
@@ -440,7 +435,10 @@ def stream_and_measure(
                     raise ProtocolError(f"expected an echo, got {MessageType(msg_type).name}")
                 if frame_id != k:
                     raise ProtocolError(f"echo out of order: expected {k}, got {frame_id}")
-                _stamp(echo_head, MessageType.ECHO, k, send_ts[k])
+                sent = send_ts.get(k)
+                if sent is None:
+                    raise ProtocolError(f"echo of frame {k} came before the frame was sent")
+                _stamp(echo_head, MessageType.ECHO, k, sent)
                 # startswith is one memcmp; comparing a memoryview to bytes goes per byte
                 if not all(buf.startswith(part, at) for part, at in checks):
                     raise ProtocolError(f"echo of frame {k} differs from the frame sent")
@@ -450,9 +448,9 @@ def stream_and_measure(
                 records.append(
                     RoundTripRecord(
                         frame_id=k,
-                        send_ts_us=send_ts[k],
+                        send_ts_us=sent,
                         recv_ts_us=recv,
-                        rtt_us=recv - send_ts[k],
+                        rtt_us=recv - sent,
                         inter_arrival_us=None if prev_recv is None else recv - prev_recv,
                     )
                 )

@@ -89,6 +89,10 @@ class TestUsageErrors:
             ["gen", "ear", "--blinks", "1", "--frames", "-5", "--out", "x.csv"],
             ["stream-bench", "--loopback", "--res", ""],
             ["stream-bench", "--loopback", "--res", ","],
+            ["stream-bench", "--loopback", "--res", "0x5"],
+            ["stream-bench", "--loopback", "--fps", "abc"],
+            ["pipeline-bench", "--profile", "x.json", "--frames", "0"],
+            ["gen", "scores", "--alert", "a,1,1", "--drowsy", "1,8,1", "--out", "x.csv"],
         ],
     )
     def test_exit_code_1(self, argv, capsys):
@@ -873,6 +877,13 @@ class TestVote:
         assert main(["vote", "--stats", str(path), "--decisions", "1,0"]) == 1
         assert main(["vote", "--stats", str(path), "--decisions", "2"]) == 1
 
+    def test_decisions_that_do_not_parse(self, tmp_path, capsys):
+        path = self.stats_file(tmp_path, [{"model_id": 1, "tpr": 0.9, "tnr": 0.5,
+                                           "threshold": 5.0}])
+        assert main(["vote", "--stats", str(path), "--decisions", "x"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: --decisions expects a comma list of 0/1, got 'x'\n")
+
     def test_zero_weight_ensemble_is_degenerate(self, tmp_path, capsys):
         path = self.stats_file(
             tmp_path, [{"model_id": 1, "tpr": 0.0, "tnr": 0.0, "threshold": 5.0}]
@@ -990,6 +1001,13 @@ class TestReport:
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n")
         assert main(["report", "--in", str(path)]) == 2
+
+    def test_one_record_rtt_csv_is_degenerate(self, tmp_path, capsys):
+        path = tmp_path / "rtt.csv"
+        write_rtt_csv([RoundTripRecord(0, 5, 10, 5, None)], path)
+        assert main(["report", "--in", str(path)]) == 3
+        assert capsys.readouterr() == (
+            "", f"degenerate data: {path} holds fewer than two records\n")
 
     def test_empty_timing_csv_is_degenerate(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

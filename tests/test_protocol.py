@@ -154,6 +154,12 @@ class TestDecode:
         msg = tiny_echo()
         assert decode_frame(encode_frame(msg)) == msg
 
+    def test_echo_recv_after_send_rejected(self):
+        wire = bytearray(encode_frame(tiny_echo()))  # received at 100, sent at 120
+        struct.pack_into("<Q", wire, len(wire) - ECHO_TRAILER_SIZE, 121)
+        with pytest.raises(CodecError, match="^server_recv_ts_us must not exceed server_send"):
+            decode_frame(bytes(wire))
+
     def test_bad_magic(self):
         wire = bytearray(encode_frame(tiny_frame()))
         wire[:4] = b"XXXX"

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from drowsebench import transport
+from drowsebench.cli import main
 from drowsebench.protocol import (
     ECHO_TRAILER_SIZE,
     HEADER_SIZE,
@@ -481,6 +482,22 @@ def bad_magic(k, echo, frames):
         echo[:4] = b"JUNK"
 
 
+def as_frame(k, echo, frames):
+    if k == 2:
+        echo[4] = MessageType.FRAME
+
+
+def hang_up(k, echo, frames):
+    if k == 2:
+        raise EOFError  # the server closes the connection instead of echoing frame 2
+
+
+def echo_the_next_frame_too(k, echo, frames):
+    # a well-formed echo of frame 1, sent before the client sends frame 1
+    if k == 0:
+        echo += echo[:5] + struct.pack("<Q", 1) + echo[13:]
+
+
 def flip_byte_at(offset):
     def tamper(k, echo, frames):
         if k == 2:
@@ -555,6 +572,42 @@ class TestMalformedEcho:
     def test_raises_protocol_error(self, tamper, message):
         with pytest.raises(ProtocolError, match=message):
             client_session(4, 3, tamper)
+
+
+class TestServerMisbehaves:
+    def test_echo_of_a_frame_not_yet_sent(self, capsys):
+        # frame 1 is due 0.25 s after frame 0, so its echo comes before it is sent
+        with FakeServer(HEADER_SIZE, echo_the_next_frame_too) as server:
+            host, port = server.address
+            assert main(["stream-bench", "--connect", f"{host}:{port}", "--fps", "4",
+                         "--frames", "3", "--res", "2x2", "--pixel-format", "empty"]) == 2
+        assert capsys.readouterr().err == "error: echo of frame 1 came before the frame was sent\n"
+
+    def test_message_other_than_an_echo(self):
+        with pytest.raises(ProtocolError, match="^expected an echo, got FRAME$"):
+            client_session(4, 3, as_frame)
+
+    def test_server_closes_between_echoes(self):
+        # frames 20 ms apart: the client reads the close before it sends frame 3
+        with FakeServer(HEADER_SIZE + 4 * 3 * 3, hang_up) as server:
+            with pytest.raises(ProtocolError,
+                               match="^server closed the connection after 2 echoes"):
+                stream_and_measure(*server.address, fps=50, n_frames=5, width=4, height=3,
+                                   timeout_s=5.0)
+
+    def test_server_stops_answering(self):
+        resume = threading.Event()
+
+        def stall(k, echo, frames):
+            if k == 2:
+                resume.wait(timeout=5.0)
+
+        with FakeServer(HEADER_SIZE + 4 * 3 * 3, stall) as server:
+            with pytest.raises(ProtocolError,
+                               match="^timed out after 2 echoes waiting for the next one$"):
+                stream_and_measure(*server.address, fps=200, n_frames=5, width=4, height=3,
+                                   timeout_s=0.2)
+            resume.set()
 
 
 # the client sends and checks the payload after its 8-byte stamp from a tile
