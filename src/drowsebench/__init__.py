@@ -9,69 +9,52 @@ Modules:
     decision   threshold optimization and weighted ensemble voting
     synth      seeded generators for EAR traces and score datasets
     report     fixed-width report tables, the population std, the CSV
-               readers and writer
+               readers and writer, the degenerate-data error
     cli        the ``drowsebench`` command-line front end
+
+``import drowsebench`` imports none of them.  Each name below loads its
+module on first use (``drowsebench.X`` or ``from drowsebench import X``),
+so the echo server and the stream client never load the offline
+modules; ``dir(drowsebench)`` lists every name before it is loaded.
 """
 
 __version__ = "0.1.0"
 
-from .blink import (  # noqa: F401
-    Blink,
-    BlinkDetectionConfig,
-    BlinkFeatures,
-    EarSeries,
-    detect_blinks,
-    extract_all_features,
-)
-from .decision import (  # noqa: F401
-    ConfusionMatrix,
-    Label,
-    ModelStats,
-    Rates,
-    ScoredSequence,
-    ScoreTally,
-    ThresholdCurve,
-    VoteResult,
-    compare_to_default,
-    cost,
-    model_weight,
-    optimize_threshold,
-    sweep,
-    threshold_grid,
-    vote,
-    weighted_vote,
-)
-from .pipeline import (  # noqa: F401
-    Distribution,
-    SessionTrace,
-    StabilityVerdict,
-    StageName,
-    StageProfile,
-    TimingSummary,
-    load_stage_sets,
-    queue_stability,
-    simulate_session,
-    summarize_timings,
-)
-from .protocol import (  # noqa: F401
-    FrameMessage,
-    MessageType,
-    PixelFormat,
-    decode_frame,
-    encode_frame,
-)
-from .synth import (  # noqa: F401
-    BlinkScript,
-    ScoreDatasetSpec,
-    ScriptedBlink,
-    gen_ear_series,
-    gen_score_dataset,
-)
-from .transport import (  # noqa: F401
-    EchoServer,
-    IntervalStats,
-    RoundTripRecord,
-    interval_stats,
-    raw_bandwidth,
-    stream_and_measure,
-)
+# exported name -> the module that defines it
+_EXPORTS = {
+    name: module
+    for module, names in [
+        ("blink", ("Blink", "BlinkDetectionConfig", "BlinkFeatures", "EarSeries",
+                   "detect_blinks", "extract_all_features")),
+        ("decision", ("ConfusionMatrix", "Label", "ModelStats", "Rates", "ScoredSequence",
+                      "ScoreTally", "ThresholdCurve", "VoteResult", "compare_to_default",
+                      "cost", "model_weight", "optimize_threshold", "sweep", "threshold_grid",
+                      "vote", "weighted_vote")),
+        ("pipeline", ("Distribution", "SessionTrace", "StabilityVerdict", "StageName",
+                      "StageProfile", "TimingSummary", "load_stage_sets", "queue_stability",
+                      "simulate_session", "summarize_timings")),
+        ("protocol", ("FrameMessage", "MessageType", "PixelFormat", "decode_frame",
+                      "encode_frame")),
+        ("synth", ("BlinkScript", "ScoreDatasetSpec", "ScriptedBlink", "gen_ear_series",
+                   "gen_score_dataset")),
+        ("transport", ("EchoServer", "IntervalStats", "RoundTripRecord", "interval_stats",
+                       "raw_bandwidth", "stream_and_measure")),
+    ]
+    for name in names
+}
+__all__ = sorted(_EXPORTS)  # ``from drowsebench import *`` loads every module
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads find the name without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -20,49 +20,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import importlib
 import itertools
-import json
 import math
-import statistics
 import sys
 
-from .blink import (
-    BlinkDetectionConfig,
-    detect_blinks,
-    extract_all_features,
-    read_ear_csv,
-    write_ear_csv,
-    write_features_csv,
-)
-from .decision import (
-    DEFAULT_W_FN,
-    DEFAULT_W_FP,
-    DegenerateDataError,
-    compare_to_default,
-    optimize_threshold,
-    read_model_stats_json,
-    read_score_tally,
-    read_scores_csv,  # noqa: F401 - unused; kept only so perfbench's wrapper of it does not raise
-    sweep,
-    threshold_grid,
-    vote,
-    write_curve_csv,
-    write_scores_csv,
-)
-from .pipeline import (
-    TIMING_CSV_HEADER,
-    TimingSummary,
-    average_stage_set,
-    load_stage_sets,
-    queue_stability,
-    read_timings_csv,
-    simulate_session,
-    summarize_timings,
-    write_timings_csv,
-)
 from .protocol import CodecError, PixelFormat
-from .report import ReportTable, mean_std_cell, pstdev
-from .synth import ScoreDatasetSpec, evenly_spaced_script, gen_ear_series, gen_score_dataset
+from .report import DegenerateDataError, ReportTable, mean_std_cell, pstdev
 from .transport import (
     RTT_CSV_HEADER,
     EchoServer,
@@ -74,6 +38,42 @@ from .transport import (
     stream_and_measure,
     write_rtt_csv,
 )
+
+# The offline subcommands' library, by module.  echo-server and
+# stream-bench never import these modules; main() binds the names into
+# this module's namespace before any other subcommand runs.  They are
+# bound as module globals, not imported inside each subcommand, because
+# perfbench's tracer wraps them with ``setattr(cli, name, wrapper)`` and
+# the subcommands must call the wrapper.  So ``__getattr__`` makes each
+# name readable before any subcommand has run, and ``_library`` never
+# replaces a name that is already set.
+_LIBRARY = {
+    "blink": ("BlinkDetectionConfig", "detect_blinks", "extract_all_features", "read_ear_csv",
+              "write_ear_csv", "write_features_csv"),
+    "decision": ("DEFAULT_W_FN", "DEFAULT_W_FP", "compare_to_default", "optimize_threshold",
+                 "read_model_stats_json", "read_score_tally",
+                 "read_scores_csv",  # unused; kept so perfbench's wrapper of it does not raise
+                 "sweep", "threshold_grid", "vote", "write_curve_csv", "write_scores_csv"),
+    "pipeline": ("TIMING_CSV_HEADER", "TimingSummary", "average_stage_set", "load_stage_sets",
+                 "queue_stability", "read_timings_csv", "simulate_session", "summarize_timings",
+                 "write_timings_csv"),
+    "synth": ("ScoreDatasetSpec", "evenly_spaced_script", "gen_ear_series", "gen_score_dataset"),
+}
+
+
+def _library() -> None:
+    namespace = globals()
+    for module, names in _LIBRARY.items():
+        library = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            namespace.setdefault(name, getattr(library, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _LIBRARY.values()):
+        _library()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -145,6 +145,8 @@ def _parse_decisions(text: str) -> list[int]:
 
 def _emit(args, table: ReportTable, payload: dict) -> None:
     if args.json:
+        import json  # here, like statistics below: echo-server never loads it
+
         print(json.dumps(payload, indent=2))
     else:
         print(table.render())
@@ -167,6 +169,8 @@ def _round_trip_json(records) -> dict:
 
     RTT percentiles interpolate linearly between the nearest ranks.
     """
+    import statistics  # it loads fractions and decimal too
+
     stats = interval_stats(records)
     rtts = [r.rtt_us for r in records]
     cuts = statistics.quantiles(rtts, n=100, method="inclusive")
@@ -348,20 +352,22 @@ def cmd_detect(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if not (0 <= args.w_fn < math.inf and 0 <= args.w_fp < math.inf):
+    w_fn = DEFAULT_W_FN if args.w_fn is None else args.w_fn
+    w_fp = DEFAULT_W_FP if args.w_fp is None else args.w_fp
+    if not (0 <= w_fn < math.inf and 0 <= w_fp < math.inf):
         raise UsageError("cost weights must be non-negative and finite")
     grid = threshold_grid()
     table = ReportTable(
-        title=f"optimize: cost = {args.w_fn:g}*fn + {args.w_fp:g}*fp over {len(grid)} thresholds",
+        title=f"optimize: cost = {w_fn:g}*fn + {w_fp:g}*fp over {len(grid)} thresholds",
         headers=["model", "opt t", "cost", "fp", "fn",
                  "def t", "cost", "fp", "fn", "fp change", "fn change"],
     )
-    payload = {"w_fn": args.w_fn, "w_fp": args.w_fp, "models": []}
+    payload = {"w_fn": w_fn, "w_fp": w_fp, "models": []}
     for model_id, path in enumerate(args.scores, start=1):
         tally = read_score_tally(path)
-        threshold, _ = optimize_threshold(tally, args.w_fn, args.w_fp)
-        cmp = compare_to_default(tally, threshold, args.w_fn, args.w_fp)
-        curve = sweep(tally, args.w_fn, args.w_fp) if args.curve_out else None
+        threshold, _ = optimize_threshold(tally, w_fn, w_fp)
+        cmp = compare_to_default(tally, threshold, w_fn, w_fp)
+        curve = sweep(tally, w_fn, w_fp) if args.curve_out else None
 
         def pct(value: float | None) -> str:
             return "n/a" if value is None else f"{value:+.1f}%"
@@ -395,6 +401,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_vote(args) -> int:
+    import json
+
     stats = read_model_stats_json(args.stats)
     if not stats:
         raise DegenerateDataError(f"{args.stats} holds no model stats")
@@ -547,8 +555,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("optimize", help="cost-minimal thresholds for score CSVs")
     p.add_argument("--scores", action="append", required=True, metavar="SCORES_CSV",
                    help="repeat for several models")
-    p.add_argument("--w-fn", type=float, default=DEFAULT_W_FN)
-    p.add_argument("--w-fp", type=float, default=DEFAULT_W_FP)
+    # unset, cmd_optimize takes decision's defaults: parsing imports no decision
+    p.add_argument("--w-fn", type=float)
+    p.add_argument("--w-fp", type=float)
     p.add_argument("--curve-out", metavar="PREFIX", help="write threshold sweep CSVs")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_optimize)
@@ -588,6 +597,8 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.func not in (cmd_echo_server, cmd_stream_bench):
+            _library()
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .report import iter_csv, read_columns, write_csv
+from .report import DegenerateDataError, iter_csv, read_columns, write_csv
 
 SCORES_CSV_HEADER = ["id", "score", "label"]
 CURVE_CSV_HEADER = ["threshold", "fpr", "fnr", "cost"]
@@ -41,10 +41,6 @@ CURVE_CSV_HEADER = ["threshold", "fpr", "fnr", "cost"]
 DEFAULT_THRESHOLD = 20.0 / 3.0
 DEFAULT_W_FN = 2.0
 DEFAULT_W_FP = 1.0
-
-
-class DegenerateDataError(ValueError):
-    """Input data cannot support the requested computation."""
 
 
 class Label(IntEnum):

@@ -1,6 +1,6 @@
 """Fixed-width text tables for benchmark reports, the one population
-standard deviation, and the one CSV reader (row by row, or column by
-column in chunks) and writer."""
+standard deviation, the one CSV reader (row by row, or column by
+column in chunks) and writer, and the error for degenerate input data."""
 
 from __future__ import annotations
 
@@ -12,6 +12,10 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
+
+
+class DegenerateDataError(ValueError):
+    """Input data cannot support the requested computation."""
 
 
 def mean_std_cell(mean: float, std: float) -> str:

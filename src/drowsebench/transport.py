@@ -39,7 +39,6 @@ import logging
 import math
 import os
 import socket
-import statistics
 import struct
 import threading
 import time
@@ -108,6 +107,8 @@ def interval_stats(records: list[RoundTripRecord]) -> IntervalStats:
     Needs at least two records (one gap).  The mean times the gap count
     telescopes back to ``last_recv - first_recv``.
     """
+    import statistics  # here, not at the top: the echo server never needs it
+
     gaps = [r.inter_arrival_us for r in records if r.inter_arrival_us is not None]
     if not gaps:
         raise ValueError("need at least two records to compute inter-arrival stats")

@@ -1096,3 +1096,115 @@ def test_echo_server_announces_its_port_through_a_pipe(live):
             proc.kill()
             proc.wait()
         proc.stdout.close()
+
+
+@pytest.mark.parametrize("command", ["stream-bench", "echo-server"])
+def test_link_side_error_in_a_fresh_process_exits_2_with_one_line(command):
+    # a fresh process has imported only the link-side modules when main()
+    # sorts the exception, so an in-process run cannot show this
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        endpoint = f"127.0.0.1:{holder.getsockname()[1]}"
+        if command == "echo-server":
+            holder.listen()
+            argv = ["echo-server", "--listen", endpoint]
+        else:  # bound but not listening: the connect is refused
+            argv = ["stream-bench", "--connect", endpoint, "--frames", "2", "--res", "2x2"]
+        proc = subprocess.run([sys.executable, "-m", "drowsebench", *argv],
+                              capture_output=True, text=True, env=package_env(), timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(r"error: [^\n]*\n", proc.stderr), proc.stderr
+
+
+def test_echo_server_imports_only_the_link_side():
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "importtime", "-m", "drowsebench", "echo-server",
+         "--listen", "127.0.0.1:0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=package_env(),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 5)
+        assert ready, "no listening line within 5 s"
+        assert proc.stdout.readline().startswith("echo server listening on ")
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=5)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    # "import time: self | cumulative | name", the name indented by depth
+    imported = {line.rpartition("|")[2].strip() for line in err.splitlines()
+                if line.startswith("import time:")}
+    assert {"drowsebench.protocol", "drowsebench.transport", "drowsebench.cli"} <= imported
+    unused = {"drowsebench.blink", "drowsebench.decision", "drowsebench.pipeline",
+              "drowsebench.synth", "statistics", "json"}
+    assert imported & unused == set()
+
+
+EXPORTS = """
+    Blink BlinkDetectionConfig BlinkFeatures BlinkScript ConfusionMatrix Distribution
+    EarSeries EchoServer FrameMessage IntervalStats Label MessageType ModelStats PixelFormat
+    Rates RoundTripRecord ScoreDatasetSpec ScoreTally ScoredSequence ScriptedBlink
+    SessionTrace StabilityVerdict StageName StageProfile ThresholdCurve TimingSummary
+    VoteResult compare_to_default cost decode_frame detect_blinks encode_frame
+    extract_all_features gen_ear_series gen_score_dataset interval_stats load_stage_sets
+    model_weight optimize_threshold queue_stability raw_bandwidth simulate_session
+    stream_and_measure summarize_timings sweep threshold_grid vote weighted_vote
+""".split()
+
+
+def test_a_fresh_package_import_loads_no_submodule_and_lists_the_exports():
+    code = ("import json, sys, drowsebench; print(json.dumps(["
+            "[n for n in dir(drowsebench) if not n.startswith('_')],"
+            "sorted(m for m in sys.modules if m.startswith('drowsebench.'))]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=package_env(), check=True, timeout=30)
+    public, submodules = json.loads(proc.stdout)
+    assert (len(EXPORTS), sorted(public), submodules) == (48, sorted(EXPORTS), [])
+
+
+# perfbench/tracing.py wraps library names with setattr(cli, name, ...)
+# before any command runs; each command must then call the wrapper
+TRACED_RUN = """
+import sys
+from drowsebench import cli
+
+calls = {}
+
+
+def count(name):
+    original = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    setattr(cli, name, wrapper)
+
+
+if sys.argv[1] == "wrap":
+    count("detect_blinks")
+    count("simulate_session")
+codes = [cli.main(["detect", "--in", sys.argv[2]]),
+         cli.main(["pipeline-bench", "--profile", sys.argv[3], "--frames", "30"])]
+print(codes, sorted(calls.items()), file=sys.stderr)
+"""
+
+
+def test_commands_call_the_library_names_a_tracer_set_on_cli(tmp_path):
+    ear = tmp_path / "ear.csv"
+    assert main(["gen", "ear", "--blinks", "3", "--out", str(ear)]) == 0
+    profile = single_set_profile(tmp_path)
+    runs = {
+        mode: subprocess.run([sys.executable, "-c", TRACED_RUN, mode, str(ear), str(profile)],
+                             capture_output=True, text=True, env=package_env(), timeout=60)
+        for mode in ("plain", "wrap")
+    }
+    assert runs["plain"].stderr == "[0, 0] []\n"
+    assert runs["wrap"].stderr == "[0, 0] [('detect_blinks', 1), ('simulate_session', 1)]\n"
+    assert runs["wrap"].stdout == runs["plain"].stdout
+    assert "3 blinks" in runs["plain"].stdout

@@ -116,6 +116,17 @@ def test_readme_library_imports_run():
     exec(compile(block.group(1), "README.md", "exec"), {})
 
 
+def test_each_export_is_its_modules_object():
+    for name, module in drowsebench._EXPORTS.items():
+        assert getattr(drowsebench, name) is getattr(
+            importlib.import_module(f"drowsebench.{module}"), name), name
+    star = {}
+    exec("from drowsebench import *", star)
+    assert sorted(name for name in star if not name.startswith("_")) == sorted(drowsebench._EXPORTS)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        drowsebench.no_such_name
+
+
 def tracer_targets():
     """``(module, name)`` of each drowsebench attribute perfbench/tracing.py wraps."""
     tracing = Path(__file__).parents[1] / "perfbench" / "tracing.py"
@@ -214,16 +225,15 @@ def test_member_guard_resolves_whose_method_a_shared_name_is(b_body, use, unread
 
 def test_every_public_name_has_a_caller_in_the_package():
     # a public top-level def or class is read somewhere in src/ outside its
-    # own body (an import alone does not count), exported by __init__.py,
-    # or wrapped by the benchmark's tracer; a public method or property of
+    # own body (an import alone does not count, nor does an export: each
+    # exported name has a caller of its own), or wrapped by the benchmark's
+    # tracer; a public method or property of
     # a package class is reached by an attribute read in src/ outside its
     # own body (see unread_members), or overrides a base-class member the
     # base calls; anything else serves only tests
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(Path(drowsebench.__file__).parent.glob("*.py"))}
-    kept = {alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
-    kept |= {name for _, name in tracer_targets()}
+    kept = {name for _, name in tracer_targets()}
     loaded = {}  # name -> ids of the nodes that read it
     for tree in trees.values():
         for node in ast.walk(tree):
