@@ -51,9 +51,8 @@ _LIBRARY = {
     "blink": ("BlinkDetectionConfig", "detect_blinks", "extract_all_features", "read_ear_csv",
               "write_ear_csv", "write_features_csv"),
     "decision": ("DEFAULT_W_FN", "DEFAULT_W_FP", "compare_to_default", "optimize_threshold",
-                 "read_model_stats_json", "read_score_tally",
-                 "read_scores_csv",  # unused; kept so perfbench's wrapper of it does not raise
-                 "sweep", "threshold_grid", "vote", "write_curve_csv", "write_scores_csv"),
+                 "read_model_stats_json", "read_scores_csv", "sweep", "threshold_grid", "vote",
+                 "write_curve_csv", "write_scores_csv"),
     "pipeline": ("TIMING_CSV_HEADER", "TimingSummary", "average_stage_set", "load_stage_sets",
                  "queue_stability", "read_timings_csv", "simulate_session", "summarize_timings",
                  "write_timings_csv"),
@@ -364,7 +363,7 @@ def cmd_optimize(args) -> int:
     )
     payload = {"w_fn": w_fn, "w_fp": w_fp, "models": []}
     for model_id, path in enumerate(args.scores, start=1):
-        tally = read_score_tally(path)
+        tally = read_scores_csv(path)
         threshold, _ = optimize_threshold(tally, w_fn, w_fp)
         cmp = compare_to_default(tally, threshold, w_fn, w_fp)
         curve = sweep(tally, w_fn, w_fp) if args.curve_out else None

@@ -12,9 +12,9 @@ them as ``ScoredSequence`` checks its score, and reads the confusion
 matrix at any threshold off them by bisection.  ``sweep``,
 ``optimize_threshold`` and ``compare_to_default`` take a tally, so
 several of them on one dataset share one sort.  A tally has one
-constructor, ``ScoreTally(drowsy, alert)``; ``read_score_tally`` folds a
-scores CSV's columns straight into one, with the messages of
-``read_scores_csv`` and no ``ScoredSequence`` per row.
+constructor, ``ScoreTally(drowsy, alert)``; ``read_scores_csv`` folds a
+scores CSV's columns straight into one, with no ``ScoredSequence`` per
+row.
 
 Several models vote with weights ``2 * tpr + tnr``; the ensemble says
 Drowsy when the weighted share of Drowsy votes exceeds one half.
@@ -33,7 +33,7 @@ from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .report import DegenerateDataError, iter_csv, read_columns, write_csv
+from .report import DegenerateDataError, read_columns, write_csv
 
 SCORES_CSV_HEADER = ["id", "score", "label"]
 CURVE_CSV_HEADER = ["threshold", "fpr", "fnr", "cost"]
@@ -245,6 +245,9 @@ class ModelStats:
     def __post_init__(self):
         if not 0.0 <= self.tpr <= 1.0 or not 0.0 <= self.tnr <= 1.0:
             raise ValueError(f"model {self.model_id}: tpr/tnr must be within [0, 1]")
+        if not 0.0 <= self.threshold <= 10.0:  # on the score scale, as a score is
+            raise ValueError(f"model {self.model_id}: threshold must be within [0, 10], "
+                             f"got {self.threshold}")
 
 
 def model_weight(stats: ModelStats) -> float:
@@ -299,47 +302,29 @@ def write_scores_csv(sequences: Iterable[ScoredSequence], path: str | Path) -> N
     write_csv(path, SCORES_CSV_HEADER, ((s.id, s.score, int(s.label)) for s in sequences))
 
 
-_LABEL_FIELDS = {"0": Label.ALERT, "10": Label.DROWSY}
-
-
-def _parse_score_row(seq_id: str, score: str, label: str) -> tuple[int, float, Label]:
-    """One scores CSV row, checked in the order id, score, label, score range."""
-    row = (
-        int(seq_id),
-        float(score),
-        _LABEL_FIELDS[label] if label in _LABEL_FIELDS else Label(int(label)),
-    )
-    _check_score(row[1])
-    return row
-
-
-def read_scores_csv(path: str | Path) -> list[ScoredSequence]:
-    return list(
-        iter_csv(path, SCORES_CSV_HEADER, lambda *row: ScoredSequence(*_parse_score_row(*row)))
-    )
-
-
 def _parse_score_chunk(seq_id: list[str], score: list[str], label: list[str]) -> tuple:
     """A chunk of scores CSV columns converted: the scores, and whether each is drowsy.
 
     ``ScoreTally`` checks the scores; the labels of other spellings take the row path.
     """
     sum(map(int, seq_id))  # each id must parse, and is not kept
-    if not _LABEL_FIELDS.keys() >= set(label):
+    if not {"0", "10"}.issuperset(label):
         raise ValueError("a label is not 0 or 10")
     return array("d", list(map(float, score))), bytearray(map(operator.eq, label, repeat("10")))
 
 
-def read_score_tally(path: str | Path) -> ScoreTally:
+def read_scores_csv(path: str | Path) -> ScoreTally:
     """The tally of a scores CSV's drowsy and alert scores, folded from its columns.
 
-    Same checks and messages as ``read_scores_csv``, with no
-    ``ScoredSequence`` built and no id kept; a file with no rows is
-    degenerate.
+    No ``ScoredSequence`` is built and no id is kept; a file with no rows
+    is degenerate.
     """
-    def parse(*fields: str) -> tuple[float, bool]:
-        _, score, label = _parse_score_row(*fields)
-        return score, label is Label.DROWSY
+    def parse(seq_id: str, score: str, label: str) -> tuple[float, bool]:
+        """One row, checked in the order id, score, label, score range."""
+        int(seq_id)
+        row = float(score), Label(int(label)) is Label.DROWSY
+        _check_score(row[0])
+        return row
 
     def tally(scores: array, drowsy: bytearray) -> ScoreTally:
         return ScoreTally(compress(scores, drowsy), compress(scores, map(operator.not_, drowsy)),
@@ -353,21 +338,26 @@ def write_curve_csv(curve: ThresholdCurve, path: str | Path) -> None:
 
 
 def read_model_stats_json(path: str | Path) -> list[ModelStats]:
-    """Model stats from a JSON list of objects; any defect names the file."""
+    """Model stats from a JSON list of objects; any defect names the file.
+
+    ``model_id`` must be a JSON integer, and ``tpr``, ``tnr`` and
+    ``threshold`` JSON numbers; a bool or a string is neither.
+    """
     try:
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, list) or not all(isinstance(entry, dict) for entry in doc):
             raise ValueError("expected a JSON list of model stats objects")
-        return [
-            ModelStats(
-                model_id=int(entry["model_id"]),
-                tpr=float(entry["tpr"]),
-                tnr=float(entry["tnr"]),
-                threshold=float(entry["threshold"]),
-            )
-            for entry in doc
-        ]
+        for entry in doc:
+            for key in ("model_id", "tpr", "tnr", "threshold"):
+                kind, kinds = (("integer", (int,)) if key == "model_id"
+                               else ("number", (int, float)))
+                # type(), not isinstance(): a bool is an int, but a JSON true is no number
+                if type(entry[key]) not in kinds:
+                    raise ValueError(
+                        f"model stats {key} must be a JSON {kind}, got {json.dumps(entry[key])}")
+        return [ModelStats(entry["model_id"], float(entry["tpr"]), float(entry["tnr"]),
+                           float(entry["threshold"])) for entry in doc]
     except KeyError as exc:
         raise ValueError(f"{path}: model stats entry lacks {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None

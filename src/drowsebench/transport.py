@@ -476,14 +476,19 @@ def write_rtt_csv(records: list[RoundTripRecord], path: str | Path) -> None:
 
 
 def read_rtt_csv(path: str | Path, lines: Iterable[str] | None = None) -> list[RoundTripRecord]:
-    """The records of a round-trip CSV; ``lines`` are its lines when open, as for ``iter_csv``."""
-    return list(
-        iter_csv(
-            path,
-            RTT_CSV_HEADER,
-            lambda frame_id, send, recv, rtt, gap: RoundTripRecord(
-                int(frame_id), int(send), int(recv), int(rtt), int(gap) if gap else None
-            ),
-            lines,
-        )
-    )
+    """The records of a round-trip CSV; ``lines`` are its lines when open, as for ``iter_csv``.
+
+    Only the first record's inter-arrival may be empty: it has no echo before it.
+    """
+    records: list[RoundTripRecord] = []
+
+    def parse(frame_id: str, send: str, recv: str, rtt: str, gap: str) -> RoundTripRecord:
+        record = RoundTripRecord(int(frame_id), int(send), int(recv), int(rtt),
+                                 int(gap) if gap else None)
+        if records and not gap:
+            raise ValueError("inter_arrival_us is empty after the first row")
+        return record
+
+    for record in iter_csv(path, RTT_CSV_HEADER, parse, lines):
+        records.append(record)
+    return records

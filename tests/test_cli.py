@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -13,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import drowsebench
+from drowsebench import cli
 from drowsebench.blink import EarSeries, read_ear_csv, write_ear_csv
 from drowsebench.cli import main
-from drowsebench.decision import Label, ScoredSequence
+from drowsebench.decision import Label, ScoredSequence, ScoreTally
 from drowsebench.decision import read_scores_csv, write_scores_csv
 from drowsebench.pipeline import read_timings_csv, write_timings_csv
 from drowsebench.protocol import (
@@ -117,7 +119,7 @@ CSV_FORMATS = {
         [ScoredSequence(0, 2.0, Label.ALERT), ScoredSequence(1, 8.0, Label.DROWSY),
          ScoredSequence(2, 4.5, Label.ALERT)],
         read_scores_csv,
-        None,
+        ScoreTally((8.0,), (2.0, 4.5)),
         ["optimize", "--scores"],
     ),
     "timings": (
@@ -895,6 +897,31 @@ class TestVote:
         [
             ('[{"model_id": 1, "tpr": 0.9, "threshold": 5.0}]', "model stats entry lacks 'tnr'"),
             ("[1]", "expected a JSON list of model stats objects"),
+            # no JSON value is coerced: a model id is an integer, the rest numbers
+            ('[{"model_id": 1.5, "tpr": true, "tnr": 0.5, "threshold": "nan"}]',
+             "model stats model_id must be a JSON integer, got 1.5"),
+            ('[{"model_id": true, "tpr": 0.9, "tnr": 0.5, "threshold": 5.0}]',
+             "model stats model_id must be a JSON integer, got true"),
+            ('[{"model_id": "1", "tpr": 0.9, "tnr": 0.5, "threshold": 5.0}]',
+             'model stats model_id must be a JSON integer, got "1"'),
+            ('[{"model_id": 1, "tpr": true, "tnr": 0.5, "threshold": 5.0}]',
+             "model stats tpr must be a JSON number, got true"),
+            ('[{"model_id": 1, "tpr": 0.9, "tnr": "0.5", "threshold": 5.0}]',
+             'model stats tnr must be a JSON number, got "0.5"'),
+            ('[{"model_id": 1, "tpr": 0.9, "tnr": 0.5, "threshold": "nan"}]',
+             'model stats threshold must be a JSON number, got "nan"'),
+            ('[{"model_id": 1, "tpr": 0.9, "tnr": 0.5, "threshold": false}]',
+             "model stats threshold must be a JSON number, got false"),
+            # a threshold lies on the score scale, as a score does
+            ('[{"model_id": 1, "tpr": 0.9, "tnr": 0.5, "threshold": NaN}]',
+             "model 1: threshold must be within [0, 10], got nan"),
+            ('[{"model_id": 2, "tpr": 0.9, "tnr": 0.5, "threshold": 11}]',
+             "model 2: threshold must be within [0, 10], got 11.0"),
+            ('[{"model_id": 3, "tpr": 0.9, "tnr": 0.5, "threshold": -0.5}]',
+             "model 3: threshold must be within [0, 10], got -0.5"),
+            # a JSON integer too large for a float
+            pytest.param(f'[{{"model_id": 1, "tpr": 1{"0" * 400}, "tnr": 0.5, "threshold": 5}}]',
+                         "int too large to convert to float", id="tpr-too-large-for-a-float"),
         ],
     )
     def test_malformed_stats_file_names_it(self, tmp_path, capsys, doc, message):
@@ -1001,6 +1028,20 @@ class TestReport:
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n")
         assert main(["report", "--in", str(path)]) == 2
+
+    @pytest.mark.parametrize("gaps, line", [
+        (["", "", ""], 3),  # three records, whose gaps are all empty
+        (["", "", "36"], 3),
+        (["", "35", ""], 4),
+    ])
+    def test_only_the_first_inter_arrival_may_be_empty(self, tmp_path, capsys, gaps, line):
+        path = tmp_path / "rtt.csv"
+        rows = [f"{k},{35 * k},{35 * k + 5},5,{gap}" for k, gap in enumerate(gaps)]
+        path.write_text("\n".join(["frame_id,send_ts_us,recv_ts_us,rtt_us,inter_arrival_us",
+                                   *rows]) + "\n")
+        assert main(["report", "--in", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path} line {line}: inter_arrival_us is empty after the first row\n")
 
     def test_one_record_rtt_csv_is_degenerate(self, tmp_path, capsys):
         path = tmp_path / "rtt.csv"
@@ -1189,8 +1230,11 @@ def count(name):
 if sys.argv[1] == "wrap":
     count("detect_blinks")
     count("simulate_session")
-codes = [cli.main(["detect", "--in", sys.argv[2]]),
-         cli.main(["pipeline-bench", "--profile", sys.argv[3], "--frames", "30"])]
+    count("read_scores_csv")
+ear, profile, *scores = sys.argv[2:]
+codes = [cli.main(["detect", "--in", ear]),
+         cli.main(["pipeline-bench", "--profile", profile, "--frames", "30"]),
+         cli.main(["optimize", *(arg for path in scores for arg in ("--scores", path))])]
 print(codes, sorted(calls.items()), file=sys.stderr)
 """
 
@@ -1199,12 +1243,32 @@ def test_commands_call_the_library_names_a_tracer_set_on_cli(tmp_path):
     ear = tmp_path / "ear.csv"
     assert main(["gen", "ear", "--blinks", "3", "--out", str(ear)]) == 0
     profile = single_set_profile(tmp_path)
+    scores = [tmp_path / f"scores{k}.csv" for k in range(2)]
+    for seed, path in enumerate(scores):
+        assert main(["gen", "scores", "--alert", "30,3,1.5", "--drowsy", "30,7,1.5",
+                     "--seed", str(seed), "--out", str(path)]) == 0
     runs = {
-        mode: subprocess.run([sys.executable, "-c", TRACED_RUN, mode, str(ear), str(profile)],
+        mode: subprocess.run([sys.executable, "-c", TRACED_RUN, mode, str(ear), str(profile),
+                              *map(str, scores)],
                              capture_output=True, text=True, env=package_env(), timeout=60)
         for mode in ("plain", "wrap")
     }
-    assert runs["plain"].stderr == "[0, 0] []\n"
-    assert runs["wrap"].stderr == "[0, 0] [('detect_blinks', 1), ('simulate_session', 1)]\n"
+    assert runs["plain"].stderr == "[0, 0, 0] []\n"
+    assert runs["wrap"].stderr == (
+        "[0, 0, 0] [('detect_blinks', 1), ('read_scores_csv', 2), ('simulate_session', 1)]\n")
     assert runs["wrap"].stdout == runs["plain"].stdout
     assert "3 blinks" in runs["plain"].stdout
+    assert "optimize: cost" in runs["plain"].stdout
+
+
+def test_each_library_name_is_read_by_a_command():
+    # cli binds _LIBRARY's names for the commands to call; a name bound only
+    # for perfbench's tracer to find times no code that runs
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (listing,) = [node for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(target, "id", None) for target in node.targets] == ["_LIBRARY"]]
+    inside = {id(node) for node in ast.walk(listing)}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load) and id(node) not in inside}
+    listed = [name for names in ast.literal_eval(listing.value).values() for name in names]
+    assert listed and [name for name in listed if name not in read] == []

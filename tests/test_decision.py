@@ -6,6 +6,7 @@ import pytest
 
 from drowsebench.decision import (
     DEFAULT_THRESHOLD,
+    SCORES_CSV_HEADER,
     ConfusionMatrix,
     CurvePoint,
     DegenerateDataError,
@@ -20,7 +21,6 @@ from drowsebench.decision import (
     optimize_threshold,
     percent_change,
     read_model_stats_json,
-    read_score_tally,
     read_scores_csv,
     sweep,
     threshold_grid,
@@ -29,6 +29,7 @@ from drowsebench.decision import (
     write_curve_csv,
     write_scores_csv,
 )
+from drowsebench.report import iter_csv
 from drowsebench.synth import ScoreDatasetSpec, gen_score_dataset
 
 
@@ -39,6 +40,14 @@ def dataset(*groups):
         for _ in range(count):
             sequences.append(ScoredSequence(id=len(sequences), score=score, label=label))
     return sequences
+
+
+def score_rows(path):
+    """A scores CSV's rows as sequences, by the documented rules: the reference reader."""
+    def parse(seq_id, score, label):
+        return ScoredSequence(int(seq_id), float(score), Label(int(label)))
+
+    return list(iter_csv(path, SCORES_CSV_HEADER, parse))
 
 
 def tally_of(sequences):
@@ -446,7 +455,7 @@ class TestScoredSequence:
         # counted the same before and after a round trip through a file
         path = tmp_path / "scores.csv"
         write_scores_csv([seq], path)
-        assert tally_of([seq]) == tally_of(read_scores_csv(path))
+        assert tally_of([seq]) == tally_of(score_rows(path)) == read_scores_csv(path)
         assert tally_of([seq]) == ScoreTally((5.0,), ())
 
     def test_a_label_that_is_neither_class_is_rejected(self):
@@ -458,7 +467,8 @@ class TestSerialization:
     def test_scores_roundtrip(self, tmp_path):
         path = tmp_path / "scores.csv"
         write_scores_csv(FOUR_POINT, path)
-        assert read_scores_csv(path) == FOUR_POINT
+        assert score_rows(path) == FOUR_POINT
+        assert read_scores_csv(path) == tally_of(FOUR_POINT)
 
     def test_scores_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -477,8 +487,8 @@ class TestSerialization:
         # a blank line, signed zeros, and labels in other forms that int() reads
         with open(path, "a") as fh:
             fh.write("\n900,0.0,00\n901,10,+10\n902,-0.0, 0\n903,3.5,1_0\n")
-        tally = read_score_tally(path)
-        assert tally == tally_of(read_scores_csv(path))
+        tally = read_scores_csv(path)
+        assert tally == tally_of(score_rows(path))
         assert len(tally.drowsy) + len(tally.alert) == 504
 
     @pytest.mark.parametrize(
@@ -497,11 +507,12 @@ class TestSerialization:
         ],
     )
     def test_bad_row_reads_the_same_through_both_readers(self, row, reason, tmp_path):
-        # errors take the order id, score, label, score range
+        # errors take the order id, score, label, score range, in the
+        # package's reader and in the reference
         path = tmp_path / "scores.csv"
         path.write_text(f"id,score,label\n0,2.0,0\n{row}\n3,8.0,10\n")
         messages = []
-        for read in (read_scores_csv, read_score_tally):
+        for read in (read_scores_csv, score_rows):
             with pytest.raises(ValueError) as info:
                 read(path)
             messages.append(str(info.value))

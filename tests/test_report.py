@@ -17,7 +17,6 @@ from drowsebench.decision import (
     SCORES_CSV_HEADER,
     Label,
     ScoreTally,
-    read_score_tally,
     read_scores_csv,
 )
 from drowsebench.report import iter_csv, pstdev, read_columns, write_csv
@@ -124,9 +123,17 @@ def ear_samples(path):
 
 
 def score_rows_tally(path):
-    sequences = read_scores_csv(path)
-    return ScoreTally([s.score for s in sequences if s.label is Label.DROWSY],
-                      [s.score for s in sequences if s.label is not Label.DROWSY], path)
+    """The scores CSV rules row by row, folded into a tally: id, score, label, score range."""
+    def parse(seq_id, score, label):
+        int(seq_id)
+        score, label = float(score), Label(int(label))
+        if not 0 <= score <= 10:
+            raise ValueError(f"score must be within [0, 10], got {score}")
+        return score, label
+
+    rows = list(iter_csv(path, SCORES_CSV_HEADER, parse))
+    return ScoreTally([score for score, label in rows if label is Label.DROWSY],
+                      [score for score, label in rows if label is Label.ALERT], path)
 
 
 def fields_of(*fields):
@@ -168,7 +175,7 @@ READERS = {
         lambda k, x: [str(k), repr(10 * x), "10" if k % 3 else "0"],
         ["+10", "010", "5", " 10", "10.0", "0", "10", "-0", "nan", "inf", "11", "-1", "1e1",
          '"7"', "", "x", "٣", "3\x00", "10\x0c", "7\x85"],
-        read_score_tally,
+        read_scores_csv,
         score_rows_tally,
         ["id,score,label\n0,0.5,0\n1,nan,10\n", "id,score,label\n0,0.5,0\n1,11,10\n",
          "id,score,label\n0,0.5,0\n1,0.5,+10\n"],
@@ -311,7 +318,7 @@ def test_plainly_clean_files_are_read_in_chunks(tmp_path, no_row_reader, end, ta
     scores = tmp_path / "scores.csv"
     with open(scores, "w", newline="") as fh:
         fh.write(end.join(["id,score,label", "0,2.5,0", "1,7.5,10", "2,6.0,10"]) + end)
-    assert read_score_tally(scores) == ScoreTally((6.0, 7.5), (2.5,))
+    assert read_scores_csv(scores) == ScoreTally((6.0, 7.5), (2.5,))
 
 
 def test_frame_id_decrease_across_a_chunk_boundary_names_its_line(tmp_path):
@@ -352,15 +359,15 @@ def test_bad_score_in_a_later_chunk_names_its_line(tmp_path, request, column, va
     if column is None:
         expected = score_rows_tally(path)
         request.getfixturevalue("no_row_reader")
-        assert read_score_tally(path) == expected
+        assert read_scores_csv(path) == expected
         return
     k = first_chunk + 3  # a row of the second chunk
     rows[k][SCORES_CSV_HEADER.index(column)] = value
     write_csv(path, SCORES_CSV_HEADER, rows)
     with pytest.raises(ValueError) as raised:
-        read_score_tally(path)
+        read_scores_csv(path)
     assert str(raised.value) == f"{path} line {k + 2}: {message}"
-    assert outcome(read_score_tally, path) == outcome(score_rows_tally, path)
+    assert outcome(read_scores_csv, path) == outcome(score_rows_tally, path)
 
 
 def test_field_longer_than_the_csv_limit(tmp_path):
@@ -454,7 +461,7 @@ def test_score_tally_reads_within_a_bounded_peak(tmp_path):
         fh.write("id,score,label\n")
         fh.writelines(f"{k},{(k * 7919) % 1000 / 100!r},{10 * (k % 3 == 0)}\n"
                       for k in range(MEMORY_ROWS))
-    peak, _ = bytes_per_row(read_score_tally, path)
+    peak, _ = bytes_per_row(read_scores_csv, path)
     # the tally's sorted tuples of floats take 32 B/row; keeping every id,
     # score and label object besides them peaked at 100 B/row
     assert peak < 75
