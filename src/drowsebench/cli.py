@@ -21,12 +21,11 @@ import argparse
 import contextlib
 import dataclasses
 import importlib
-import itertools
 import math
 import sys
 
-from .protocol import CodecError, PixelFormat
-from .report import DegenerateDataError, ReportTable, mean_std_cell, pstdev
+from .protocol import PixelFormat
+from .report import DegenerateDataError, ReportTable, mean_std_cell, pstdev, read_header
 from .transport import (
     RTT_CSV_HEADER,
     EchoServer,
@@ -163,6 +162,17 @@ def _stage_cells(stages: dict) -> list[str]:
     return [mean_std_cell(stat["mean_ms"], stat["std_ms"]) for stat in stages.values()]
 
 
+def _round_trip_cells(summary: dict) -> list[str]:
+    """The inter-arrival ``mean ± std`` and median and the RTT ``mean ± std`` and p99, in ms."""
+    gaps, rtt = summary["inter_arrival_us"], summary["rtt_us"]
+    return [
+        mean_std_cell(gaps["mean"] / 1000, gaps["std"] / 1000),
+        f"{gaps['median'] / 1000:.3f}",
+        mean_std_cell(rtt["mean"] / 1000, rtt["std"] / 1000),
+        f"{rtt['p99'] / 1000:.3f}",
+    ]
+
+
 def _round_trip_json(records) -> dict:
     """``inter_arrival_us`` and ``rtt_us`` summaries of one round-trip run.
 
@@ -232,17 +242,9 @@ def cmd_stream_bench(args) -> int:
                 host, port, args.fps, args.frames, width, height, pixel_format
             )
             summary = _round_trip_json(records)
-            gaps, rtt = summary["inter_arrival_us"], summary["rtt_us"]
             bandwidth = raw_bandwidth(width, height, 24, args.fps)
-            table.add_row(
-                f"{width}x{height}",
-                len(records),
-                mean_std_cell(gaps["mean"] / 1000, gaps["std"] / 1000),
-                f"{gaps['median'] / 1000:.3f}",
-                mean_std_cell(rtt["mean"] / 1000, rtt["std"] / 1000),
-                f"{rtt['p99'] / 1000:.3f}",
-                f"{bandwidth / 1e6:.3f}",
-            )
+            table.add_row(f"{width}x{height}", len(records), *_round_trip_cells(summary),
+                          f"{bandwidth / 1e6:.3f}")
             payload["resolutions"].append(
                 {
                     "resolution": f"{width}x{height}",
@@ -465,14 +467,13 @@ def cmd_gen(args) -> int:
 def cmd_report(args) -> int:
     # the input is read once, header and all, so it may be a pipe
     with open(args.infile, newline="") as fh:
-        first = fh.readline()
-        lines = itertools.chain([first], fh)
-        header = first.strip().split(",")
+        header, lines = read_header(fh)
         if header == TIMING_CSV_HEADER:
             return _report_timings(args, read_timings_csv(args.infile, lines))
         if header == RTT_CSV_HEADER:
             return _report_round_trips(args, read_rtt_csv(args.infile, lines))
-    raise ValueError(f"{args.infile}: unrecognized CSV header {first.strip()!r}")
+        # neither reader ran, so the lines still start at the header line
+        raise ValueError(f"{args.infile}: unrecognized CSV header {next(lines).strip()!r}")
 
 
 def _report_timings(args, columns: list[list]) -> int:
@@ -496,15 +497,13 @@ def _report_round_trips(args, records: list) -> int:
     if len(records) < 2:
         raise DegenerateDataError(f"{args.infile} holds fewer than two records")
     summary = _round_trip_json(records)
-    gaps, rtt = summary["inter_arrival_us"], summary["rtt_us"]
     table = ReportTable(
         title=f"round-trip summary of {args.infile} ({len(records)} frames)",
         headers=["metric", "value ms"],
     )
-    table.add_row("inter-arrival", mean_std_cell(gaps["mean"] / 1000, gaps["std"] / 1000))
-    table.add_row("inter-arrival median", f"{gaps['median'] / 1000:.3f}")
-    table.add_row("rtt", mean_std_cell(rtt["mean"] / 1000, rtt["std"] / 1000))
-    table.add_row("rtt p99", f"{rtt['p99'] / 1000:.3f}")
+    metrics = ("inter-arrival", "inter-arrival median", "rtt", "rtt p99")
+    for metric, cell in zip(metrics, _round_trip_cells(summary)):
+        table.add_row(metric, cell)
     _emit(args, table, {"frames": len(records), **summary})
     return 0
 
@@ -605,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateDataError as exc:
         print(f"degenerate data: {exc}", file=sys.stderr)
         return 3
-    except (OSError, CodecError, ProtocolError, ValueError, OverflowError) as exc:
+    except (OSError, ProtocolError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -145,8 +145,8 @@ def clamped_normal_params(mean: float, std: float) -> tuple[float, float]:
     return alpha * b, b
 
 
-def _stage_map(profiles: Iterable[StageProfile]) -> dict[StageName, StageProfile]:
-    """Profiles keyed by stage; face, landmark and blink must appear once each."""
+def _in_stage_order(profiles: Iterable[StageProfile]) -> list[StageProfile]:
+    """The set as ``[face, landmark, blink]``; each must appear once."""
     profiles = list(profiles)
     by_name = {p.name: p for p in profiles}
     missing = [name.value for name in STAGE_ORDER if name not in by_name]
@@ -155,7 +155,7 @@ def _stage_map(profiles: Iterable[StageProfile]) -> dict[StageName, StageProfile
     if len(profiles) != len(STAGE_ORDER):
         names = ", ".join(p.name.value for p in profiles)
         raise ValueError(f"stage set must define face, landmark and blink once each: {names}")
-    return by_name
+    return [by_name[name] for name in STAGE_ORDER]
 
 
 def _normal_draws(rng: random.Random, count: int) -> list[float]:
@@ -192,13 +192,10 @@ def _stage_columns(
     for slot, profile in enumerate(drawing):
         a, b = clamped_normal_params(profile.mean_ms, profile.std_ms)
         # (v if v > 0.0 else 0.0) is max(0.0, v) without the call
-        drawn[profile.name] = [
+        drawn[profile] = [
             (v if (v := a + x * b) > 0.0 else 0.0) * 1000.0 for x in draws[slot :: len(drawing)]
         ]
-    return [
-        drawn[p.name] if p.name in drawn else repeat(p.mean_ms * 1000.0, n_frames)
-        for p in profiles
-    ]
+    return [drawn[p] if p in drawn else repeat(p.mean_ms * 1000.0, n_frames) for p in profiles]
 
 
 @dataclass(frozen=True)
@@ -260,7 +257,7 @@ class StabilityVerdict:
 def queue_stability(profiles: Iterable[StageProfile], fps: float) -> StabilityVerdict:
     if not 0 < fps < math.inf:
         raise ValueError(f"fps must be positive and finite, got {fps}")
-    service_ms = sum(p.mean_ms for p in _stage_map(profiles).values())
+    service_ms = sum(p.mean_ms for p in _in_stage_order(profiles))
     budget_ms = 1000.0 / fps
     growth = max(0.0, fps - 1000.0 / service_ms)
     return StabilityVerdict(
@@ -338,11 +335,9 @@ def simulate_session(
         raise ValueError(f"fps must be positive and finite, got {fps}")
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be positive and finite, got {duration_s}")
-    by_name = _stage_map(profiles)
+    stages = _in_stage_order(profiles)
     n_frames = round(fps * duration_s)
-    face, landmark, blink = _stage_columns(
-        [by_name[name] for name in STAGE_ORDER], n_frames, random.Random(seed)
-    )
+    face, landmark, blink = _stage_columns(stages, n_frames, random.Random(seed))
     period_us = 1e6 / fps
     recv: list[float] = []
     face_done: list[float] = []
@@ -384,22 +379,22 @@ def load_stage_sets(path: str | Path) -> dict[str, list[StageProfile]]:
     Accepts either a single stage set ``{"stages": [...]}`` (returned
     under the key "default") or a device file mapping resolutions to
     stage sets: ``{"device": ..., "resolutions": {"320x240": {"stages":
-    [...]}, ...}}``.
+    [...]}, ...}}``.  Each set comes back in face, landmark, blink order;
+    a stage time is a JSON number, never a bool or a string.
     """
+    def parse_stage(entry: dict) -> StageProfile:
+        name = StageName(entry["name"])
+        mean_ms, std_ms = entry["mean_ms"], entry.get("std_ms", 0.0)
+        for key, value in (("mean_ms", mean_ms), ("std_ms", std_ms)):
+            if type(value) not in (int, float):  # not isinstance(): a bool is an int
+                raise ValueError(
+                    f"stage {name.value}: {key} must be a JSON number, got {json.dumps(value)}")
+        return StageProfile(name, float(mean_ms), float(std_ms), entry.get("dist", "trunc_normal"))
+
     def parse_set(obj) -> list[StageProfile]:
         if not all(isinstance(entry, dict) for entry in obj["stages"]):
             raise ValueError("every stage entry must be a JSON object")
-        profiles = [
-            StageProfile(
-                name=StageName(entry["name"]),
-                mean_ms=float(entry["mean_ms"]),
-                std_ms=float(entry.get("std_ms", 0.0)),
-                dist=Distribution(entry.get("dist", "trunc_normal")),
-            )
-            for entry in obj["stages"]
-        ]
-        _stage_map(profiles)
-        return profiles
+        return _in_stage_order(map(parse_stage, obj["stages"]))
 
     try:
         with open(path) as fh:
@@ -410,7 +405,7 @@ def load_stage_sets(path: str | Path) -> dict[str, list[StageProfile]]:
             return {res: parse_set(obj) for res, obj in doc["resolutions"].items()}
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     raise ValueError(f"{path}: expected a 'stages' or 'resolutions' key")
 
@@ -419,23 +414,19 @@ def average_stage_set(stage_sets: Mapping[str, list[StageProfile]]) -> list[Stag
     """Per-stage average of several stage sets (mean of means and of stds)."""
     if not stage_sets:
         raise ValueError("no stage sets to average")
-    sets = list(stage_sets.values())
-    averaged = []
-    for name in STAGE_ORDER:
-        rows = [_stage_map(s)[name] for s in sets]
-        averaged.append(
-            StageProfile(
-                name=name,
-                mean_ms=statistics.fmean(p.mean_ms for p in rows),
-                std_ms=statistics.fmean(p.std_ms for p in rows),
-                dist=(
-                    Distribution.DETERMINISTIC
-                    if all(p.dist is Distribution.DETERMINISTIC for p in rows)
-                    else Distribution.TRUNC_NORMAL
-                ),
-            )
+    return [
+        StageProfile(
+            name=rows[0].name,
+            mean_ms=statistics.fmean(p.mean_ms for p in rows),
+            std_ms=statistics.fmean(p.std_ms for p in rows),
+            dist=(
+                Distribution.DETERMINISTIC
+                if all(p.dist is Distribution.DETERMINISTIC for p in rows)
+                else Distribution.TRUNC_NORMAL
+            ),
         )
-    return averaged
+        for rows in zip(*map(_in_stage_order, stage_sets.values()))
+    ]
 
 
 def write_timings_csv(durations: Sequence[Sequence[float]], path: str | Path) -> None:

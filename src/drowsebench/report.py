@@ -9,9 +9,9 @@ import csv
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 
 class DegenerateDataError(ValueError):
@@ -38,8 +38,6 @@ class ReportTable:
     def render(self) -> str:
         widths = [len(h) for h in self.headers]
         for row in self.rows:
-            if len(row) != len(self.headers):
-                raise ValueError(f"row has {len(row)} cells, header has {len(self.headers)}")
             for i, cell in enumerate(row):
                 widths[i] = max(widths[i], len(cell))
         lines = [self.title]
@@ -56,6 +54,17 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence[objec
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_header(fh: TextIO) -> tuple[list[str], Iterator[str]]:
+    """The open CSV ``fh``'s first row by ``iter_csv``'s rules (``[]`` if ``csv`` refuses
+    it) and ``fh``'s lines from that row on, so a pipe is read once."""
+    first = fh.readline()
+    try:
+        header = next(csv.reader([first]), [])
+    except csv.Error:  # a field longer than csv.field_size_limit()
+        header = []
+    return header, chain([first], fh)
 
 
 def iter_csv(

@@ -404,6 +404,18 @@ class TestPipelineBench:
                 ' {"name": "blink", "mean_ms": 1.0, "std_ms": 0.2, "dist": "deterministic"}]}',
                 "stage blink: a deterministic stage needs std_ms 0, got 0.2",
             ),
+            # no stage time is coerced: a bool or a string is no JSON number
+            ('{"stages": [{"name": "face", "mean_ms": true}]}',
+             "stage face: mean_ms must be a JSON number, got true"),
+            ('{"stages": [{"name": "face", "mean_ms": "5"}]}',
+             'stage face: mean_ms must be a JSON number, got "5"'),
+            ('{"stages": [{"name": "landmark", "mean_ms": 2.0, "std_ms": false}]}',
+             "stage landmark: std_ms must be a JSON number, got false"),
+            ('{"stages": [{"name": "blink", "mean_ms": 1.0, "std_ms": "0.1"}]}',
+             'stage blink: std_ms must be a JSON number, got "0.1"'),
+            # a JSON integer too large for a float
+            pytest.param(f'{{"stages": [{{"name": "face", "mean_ms": 1{"0" * 400}}}]}}',
+                         "int too large to convert to float", id="mean-too-large-for-a-float"),
         ],
     )
     def test_malformed_profile_names_the_file(self, tmp_path, capsys, doc, message):
@@ -411,6 +423,19 @@ class TestPipelineBench:
         path.write_text(doc)
         assert main(["pipeline-bench", "--profile", str(path)]) == 2
         assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    def test_stage_order_in_the_file_does_not_matter(self, tmp_path, capsys):
+        canonical = single_set_profile(tmp_path)
+        reordered = tmp_path / "reordered.json"
+        stages = json.loads(canonical.read_text())["stages"]
+        reordered.write_text(json.dumps({"stages": stages[::-1]}))
+        outputs = {}
+        for path in (canonical, reordered):
+            for flags in ([], ["--json"]):
+                assert main(["pipeline-bench", "--profile", str(path), "--frames", "90",
+                             "--seed", "7", *flags]) == 0
+                outputs.setdefault(tuple(flags), []).append(capsys.readouterr().out)
+        assert all(first == second for first, second in outputs.values())
 
     @pytest.mark.parametrize("device", sorted(GOLDEN_PIPELINE_BENCH_SHA256))
     def test_seeded_output_matches_recorded_digests(self, profiles_dir, tmp_path, capsys, device):
@@ -1006,6 +1031,59 @@ class TestReport:
         assert set(rtt) == {"mean", "std", "p50", "p95", "p99", "max"}
         assert rtt["p50"] <= rtt["p95"] <= rtt["p99"] <= rtt["max"]
 
+    def test_rtt_report_cells_equal_the_bench_row(self, tmp_path, capsys):
+        assert main(["stream-bench", "--loopback", "--fps", "200", "--frames", "10",
+                     "--res", "8x8", "--out", str(tmp_path / "rtt")]) == 0
+        # cells are padded apart by two spaces or more, and hold single spaces
+        bench_cells = re.split(" {2,}", capsys.readouterr().out.splitlines()[-1])
+        assert main(["report", "--in", str(tmp_path / "rtt-8x8.csv")]) == 0
+        report_rows = capsys.readouterr().out.splitlines()[-4:]
+        # RTT CSVs hold integers, so the summary round-trips exactly
+        assert [re.split(" {2,}", row)[1] for row in report_rows] == bench_cells[2:6]
+
+    def test_rtt_report_table(self, tmp_path, capsys):
+        path = tmp_path / "rtt.csv"
+        path.write_text(
+            "frame_id,send_ts_us,recv_ts_us,rtt_us,inter_arrival_us\n"
+            "0,0,1250,1250,\n1,33333,34900,1567,33650\n2,66667,68100,1433,33200\n"
+            "3,100000,102750,2750,34650\n4,133333,134420,1087,31670\n"
+            "5,166667,168011,1344,33591\n"
+        )
+        assert main(["report", "--in", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"round-trip summary of {path} (6 frames)\n"
+            "metric                value ms\n"
+            "--------------------  --------------\n"
+            "inter-arrival         33.352 ± 0.968\n"
+            "inter-arrival median  33.591\n"
+            "rtt                   1.572 ± 0.547\n"
+            "rtt p99               2.691\n"
+        )
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    @pytest.mark.parametrize("fmt", ["timings", "rtt"])
+    def test_quoted_header_is_read_by_the_csv_rules(self, tmp_path, capsys, fmt, source):
+        write, records, *_ = CSV_FORMATS[fmt]
+        path = tmp_path / f"{fmt}.csv"
+        write(records, path)
+        assert main(["report", "--in", str(path)]) == 0
+        expected = capsys.readouterr().out
+        first, rest = path.read_text().split(",", 1)
+        path.write_text(f'"{first}",{rest}')
+        if source == "file":
+            assert main(["report", "--in", str(path)]) == 0
+            assert capsys.readouterr().out == expected
+            return
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, path.read_bytes())
+            os.close(write_end)
+            pipe = f"/dev/fd/{read_end}"
+            assert main(["report", "--in", pipe]) == 0
+        finally:
+            os.close(read_end)
+        assert capsys.readouterr().out == expected.replace(str(path), pipe)
+
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     @pytest.mark.parametrize("fmt", ["timings", "rtt"])
     def test_reads_a_pipe(self, tmp_path, capsys, fmt, flags):
@@ -1028,6 +1106,15 @@ class TestReport:
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n")
         assert main(["report", "--in", str(path)]) == 2
+
+    def test_header_field_beyond_the_csv_limit_is_unrecognized(self, tmp_path, capsys):
+        # csv.reader refuses a field longer than csv.field_size_limit()
+        header = "frame_id," + "x" * 200_000
+        path = tmp_path / "other.csv"
+        path.write_text(f"{header}\n1,2\n")
+        assert main(["report", "--in", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: unrecognized CSV header {header!r}\n")
 
     @pytest.mark.parametrize("gaps, line", [
         (["", "", ""], 3),  # three records, whose gaps are all empty

@@ -579,6 +579,17 @@ class TestStageSetFiles:
         assert sets["default"][2].dist is Distribution.DETERMINISTIC
         assert sets["default"][0].std_ms == 0.0
 
+    def test_sets_come_back_in_stage_order(self, tmp_path):
+        path = tmp_path / "reversed.json"
+        path.write_text(
+            '{"stages": [{"name": "blink", "mean_ms": 1.0},'
+            ' {"name": "landmark", "mean_ms": 2.0},'
+            ' {"name": "face", "mean_ms": 5.0}]}'
+        )
+        (profiles,) = load_stage_sets(path).values()
+        assert [(p.name, p.mean_ms) for p in profiles] == [
+            (StageName.FACE, 5.0), (StageName.LANDMARK, 2.0), (StageName.BLINK, 1.0)]
+
     def test_rejects_bad_files(self, tmp_path):
         missing_stage = tmp_path / "missing.json"
         missing_stage.write_text(
