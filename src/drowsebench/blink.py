@@ -187,7 +187,8 @@ def extract_all_features(
     Each blink frame is found by bisection on the series' strictly
     increasing frame ids.  Frequency counts the blink itself plus the
     earlier apexes (at ``frame / fps`` seconds) in the trailing window
-    ``(apex - 60 s, apex]``.
+    ``(apex - 60 s, apex]``.  An apex time or a feature that overflows a
+    float raises ``OverflowError``.
     """
     if not 0 < fps < math.inf:
         raise ValueError(f"fps must be positive and finite, got {fps}")
@@ -209,13 +210,21 @@ def extract_all_features(
         apex = index_of(blink.apex_frame)
         drops = [ears[k] - ears[k + 1] for k in range(start, apex)]
         apex_time_s = blink.apex_frame / fps
+        velocity = max(drops, default=0.0) * fps
+        duration_s = (blink.end_frame - blink.start_frame + 1) / fps
+        for name, value in (("apex time", apex_time_s), ("velocity", velocity),
+                            ("duration_s", duration_s)):
+            if not math.isfinite(value):
+                raise OverflowError(
+                    f"{name} of the blink at frame {blink.apex_frame} overflows a float"
+                    f" at fps {fps:g}")
         while window and window[0] <= apex_time_s - 60.0:
             window.popleft()
         features.append(
             BlinkFeatures(
                 amplitude=blink.baseline_ear - blink.min_ear,
-                velocity=max(drops, default=0.0) * fps,
-                duration_s=(blink.end_frame - blink.start_frame + 1) / fps,
+                velocity=velocity,
+                duration_s=duration_s,
                 freq_per_min=float(len(window) + 1),
             )
         )

@@ -96,6 +96,8 @@ def _positive_float(text: str) -> float:
 
 def _parse_endpoint(text: str) -> tuple[str, int]:
     host, sep, port_text = text.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):  # an IPv6 host, as in [::1]:7600
+        host = host[1:-1]
     try:
         port = int(port_text)
     except ValueError:
@@ -145,7 +147,7 @@ def _emit(args, table: ReportTable, payload: dict) -> None:
     if args.json:
         import json  # here, like statistics below: echo-server never loads it
 
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         print(table.render())
 

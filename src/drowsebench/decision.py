@@ -149,10 +149,13 @@ class Rates:
 
 
 def cost(rates: Rates, w_fn: float = DEFAULT_W_FN, w_fp: float = DEFAULT_W_FP) -> float:
-    """Weighted misclassification cost ``w_fn * fnr + w_fp * fpr``."""
+    """Weighted misclassification cost ``w_fn * fnr + w_fp * fpr``; OverflowError past a float."""
     if not (0 <= w_fn < math.inf and 0 <= w_fp < math.inf):
         raise ValueError(f"weights must be non-negative and finite, got w_fn={w_fn}, w_fp={w_fp}")
-    return w_fn * rates.fnr + w_fp * rates.fpr
+    total = w_fn * rates.fnr + w_fp * rates.fpr
+    if not math.isfinite(total):
+        raise OverflowError(f"cost {w_fn:g}*fnr + {w_fp:g}*fpr overflows a float")
+    return total
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class DegenerateDataError(ValueError):
@@ -56,15 +56,15 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence[objec
         writer.writerows(rows)
 
 
-def read_header(fh: TextIO) -> tuple[list[str], Iterator[str]]:
-    """The open CSV ``fh``'s first row by ``iter_csv``'s rules (``[]`` if ``csv`` refuses
-    it) and ``fh``'s lines from that row on, so a pipe is read once."""
-    first = fh.readline()
+def read_header(lines: Iterator[str]) -> tuple[list[str], Iterator[str]]:
+    """The fields of the first of ``lines`` by the ``csv`` rules, ``[]`` if it refuses them,
+    and the lines from that one on; ``lines`` goes on after it, so a pipe is read once."""
+    first = next(lines, "")
     try:
         header = next(csv.reader([first]), [])
     except csv.Error:  # a field longer than csv.field_size_limit()
         header = []
-    return header, chain([first], fh)
+    return header, chain([first], lines)
 
 
 def iter_csv(
@@ -73,20 +73,20 @@ def iter_csv(
 ) -> Iterator:
     """One ``parse(*fields)`` record per row, for every CSV format of the package.
 
-    The first row must equal ``header``, blank lines are skipped and every
-    other row must have one field per column.  A foreign header raises
-    ``ValueError``; so does a bad row, or any ``ValueError`` from
-    ``parse``, as ``"PATH line N: ..."``.  Rows are read as the caller
-    asks for them, so a caller can fold them into what it needs.
-    ``lines``, when given, are the lines of the file ``path`` names, from
-    its header on, read from a file already open (a pipe can be read only
-    once); otherwise the file is opened here.
+    The first line, read by ``read_header``, must equal ``header``; blank
+    lines are skipped and every other row must have one field per column.
+    A foreign header raises ``ValueError``; so does a bad row, or any
+    ``ValueError`` from ``parse``, as ``"PATH line N: ..."``.  Rows are
+    read as the caller asks for them, so a caller can fold them into what
+    it needs.  ``lines``, when given, are the lines of the file ``path``
+    names, from its header on, read from a file already open (a pipe can
+    be read only once); otherwise the file is opened here.
     """
-    with open(path, newline="") if lines is None else contextlib.nullcontext(lines) as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
+    with open(path, newline="") if lines is None else contextlib.nullcontext(iter(lines)) as fh:
+        first = read_header(fh)[0]
         if first != header:
             raise ValueError(f"unexpected header {first} in {path}")
+        reader = csv.reader(fh)  # the lines after the header
         width = len(header)
         try:
             for fields in reader:
@@ -96,7 +96,7 @@ def iter_csv(
                     raise ValueError(f"expected {width} fields, got {len(fields)}")
                 yield parse(*fields)
         except (ValueError, csv.Error) as exc:
-            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+            raise ValueError(f"{path} line {reader.line_num + 1}: {exc}") from None
 
 
 _CHUNK_HINT = 1 << 16  # about 64 KiB of whole lines per chunk
@@ -132,15 +132,14 @@ def _split_lines(lines: list[str], width: int) -> list[list[str]] | None:
 def _clean_columns(
     path: str | Path, header: list[str], parse_chunk: Callable, columns: list
 ) -> list | None:
-    """``columns`` filled from plainly clean CSV text, or ``None`` unless plainly clean.
+    """``columns`` filled from the plainly clean text after ``header``, or ``None`` unless clean.
 
     The file is read with universal newlines, which end a line at
     ``\\r\\n``, ``\\r`` or ``\\n`` as ``csv.reader`` does in unquoted text.
     """
-    head = ",".join(header)
     with open(path) as fh:
         # the row path reads the file again, which a pipe cannot give twice
-        if not fh.seekable() or fh.readline() not in (head + "\n", head):
+        if not fh.seekable() or read_header(fh)[0] != header:
             return None
         while lines := fh.readlines(_CHUNK_HINT):
             fields = _split_lines(lines, len(header))
@@ -172,12 +171,12 @@ def read_columns(
     Called on empty lists, it makes the empty columns.
 
     Plainly clean text is read in chunks of about 64 KiB of whole lines:
-    the first line is exactly ``header``, there is no quote or NUL, each
-    non-blank line has one comma fewer than the header has columns, and
-    no line is longer than ``csv.field_size_limit()``.  Each chunk is
-    split into its columns, and what ``parse_chunk`` returns extends the
-    columns before the next chunk is read; so no string column of the
-    whole file is ever held.
+    ``read_header`` finds ``header``, and after it there is no quote or
+    NUL, each non-blank line has one comma fewer than the header has
+    columns, and no line is longer than ``csv.field_size_limit()``.
+    Each chunk is split into its columns, and what ``parse_chunk``
+    returns extends the columns before the next chunk is read; so no
+    string column of the whole file is ever held.
 
     On anything else, on any ``ValueError`` or ``OverflowError`` (a value
     too large for its C type) from ``parse_chunk``, the columns or

@@ -153,7 +153,8 @@ class EchoServer:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self._listener = socket.create_server((host, port))
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, port), family=family)
         # poll: closing the listener does not wake a blocked accept(), and
         # a signal caught by another thread is handled only between polls
         self._listener.settimeout(0.25)

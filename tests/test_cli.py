@@ -1,4 +1,6 @@
+import argparse
 import ast
+import csv
 import hashlib
 import json
 import os
@@ -28,7 +30,7 @@ from drowsebench.protocol import (
     encode_frame,
     read_frame,
 )
-from drowsebench.transport import RoundTripRecord, read_rtt_csv, write_rtt_csv
+from drowsebench.transport import EchoServer, RoundTripRecord, read_rtt_csv, write_rtt_csv
 
 MEAN_STD = re.compile(r"\d+\.\d{3} ± \d+\.\d{3}")
 
@@ -95,11 +97,21 @@ class TestUsageErrors:
             ["stream-bench", "--loopback", "--fps", "abc"],
             ["pipeline-bench", "--profile", "x.json", "--frames", "0"],
             ["gen", "scores", "--alert", "a,1,1", "--drowsy", "1,8,1", "--out", "x.csv"],
+            ["stream-bench", "--connect", "[]:7600"],
         ],
     )
     def test_exit_code_1(self, argv, capsys):
         assert main(argv) == 1
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, endpoint", [
+        ("127.0.0.1:7600", ("127.0.0.1", 7600)),
+        ("::1:0", ("::1", 0)),
+        ("[::1]:7600", ("::1", 7600)),
+        ("[fe80::1%eth0]:7600", ("fe80::1%eth0", 7600)),
+    ])
+    def test_endpoints(self, text, endpoint):
+        assert cli._parse_endpoint(text) == endpoint
 
 
 # face, landmark, blink and total duration columns of two frames
@@ -175,6 +187,18 @@ def test_csv_rules(fmt, tmp_path, capsys):
     assert main([*command, str(path)]) == 2
 
 
+# csv.reader refuses a field longer than csv.field_size_limit(), in a header too
+@pytest.mark.parametrize("header, command", [
+    ("frame_id,ts_us,", ["detect", "--in"]),
+    ("id,score,", ["optimize", "--scores"]),
+])
+def test_header_field_beyond_the_csv_limit_names_the_file(tmp_path, capsys, header, command):
+    path = tmp_path / "huge.csv"
+    path.write_text(header + "x" * (csv.field_size_limit() + 1) + "\n1,2,3\n")
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: unexpected header [] in {path}\n")
+
+
 class TestStreamBench:
     def test_loopback_run(self, capsys):
         rc = main(["stream-bench", "--loopback", "--fps", "200", "--frames", "10",
@@ -222,6 +246,13 @@ class TestStreamBench:
         for res in ("16x12", "8x8"):
             records = read_rtt_csv(tmp_path / f"rtt-{res}.csv")
             assert len(records) == 10
+
+    def test_ipv6_endpoint_in_brackets(self, ipv6_loopback, capsys):
+        with EchoServer(ipv6_loopback) as server:
+            port = server.address[1]
+            assert main(["stream-bench", "--connect", f"[::1]:{port}", "--fps", "200",
+                         "--frames", "3", "--res", "16x12"]) == 0
+        assert f"payload via ::1:{port}\n" in capsys.readouterr().out
 
     def test_dead_endpoint(self, capsys):
         rc = main(["stream-bench", "--connect", f"127.0.0.1:{free_port()}",
@@ -517,6 +548,14 @@ class TestDetect:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{path} line 22: frame_id 0 does not follow 19" in captured.err
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_velocity_that_overflows_a_float_exits_2(self, tmp_path, capsys, flags):
+        path = tmp_path / "ear.csv"
+        write_ear_rows(path, [(0, 0, 3), (1, 1, 0.1), (2, 2, 0.1), (3, 3, 3)])
+        assert main(["detect", "--in", str(path), "--fps", "1e308", *flags]) == 2
+        assert capsys.readouterr() == (
+            "", "error: velocity of the blink at frame 1 overflows a float at fps 1e+308\n")
 
     @pytest.mark.parametrize("first_row", ["0,0,0.3", '"0",0,0.3'])
     def test_reads_a_pipe(self, capsys, first_row):
@@ -860,6 +899,17 @@ class TestOptimize:
     def test_missing_file(self):
         assert main(["optimize", "--scores", "/no/such/scores.csv"]) == 2
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_cost_that_overflows_a_float_exits_2(self, tmp_path, capsys, flags):
+        path = tmp_path / "scores.csv"
+        assert main(["gen", "scores", "--alert", "50,8,0.5", "--drowsy", "50,2,0.5", "--seed", "1",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["optimize", "--scores", str(path), "--w-fn", "1e308", "--w-fp", "1e308",
+                     *flags]) == 2
+        assert capsys.readouterr() == (
+            "", "error: cost 1e+308*fnr + 1e+308*fpr overflows a float\n")
+
     def test_header_only_file_is_degenerate(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("id,score,label\n")
@@ -988,6 +1038,13 @@ def test_json_stdout_is_one_document_next_to_file_output(command, tmp_path, caps
     # json.loads rejects anything printed before or after the one document
     assert isinstance(json.loads(capsys.readouterr().out), dict)
     assert written is None or (tmp_path / written).exists()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_json_output_holds_no_infinity_or_nan(value, capsys):
+    with pytest.raises(ValueError):
+        cli._emit(argparse.Namespace(json=True), None, {"cost": value})
+    assert capsys.readouterr().out == ""
 
 
 class TestReport:

@@ -83,6 +83,13 @@ def test_pstdev_keeps_ints_exact():
     assert pstdev([2**53 + 1, 2**53]) == 0.5
 
 
+def test_table_row_must_have_one_cell_per_column():
+    table = report.ReportTable(title="t", headers=["a", "b"])
+    with pytest.raises(ValueError, match="^row has 3 cells, header has 2$"):
+        table.add_row(1, 2, 3)
+    assert table.rows == []
+
+
 def test_pstdev_of_nothing_raises():
     with pytest.raises(ValueError, match="at least one value"):
         pstdev([])
@@ -280,9 +287,9 @@ def test_column_reader_matches_row_reader_across_chunk_boundaries(fmt, hint, tmp
     test_column_reader_matches_row_reader_on_mutated_files(fmt, tmp_path)
 
 
-def write_ear_text(path, rows, end="\r\n", last_end=True):
+def write_ear_text(path, rows, end="\r\n", last_end=True, head=",".join(EAR_CSV_HEADER)):
     with open(path, "w", newline="") as fh:
-        fh.write(end.join([",".join(EAR_CSV_HEADER), *rows]) + (end if last_end else ""))
+        fh.write(end.join([head, *rows]) + (end if last_end else ""))
 
 
 def ear_lines(n):
@@ -298,26 +305,32 @@ def no_row_reader(monkeypatch):
     monkeypatch.setattr(report, "iter_csv", fail)
 
 
+PLAIN_HEADS = ("frame_id,ts_us,ear", "id,score,label")
+
+
 # csv.reader ends a line at "\n", "\r\n" or "\r", and keeps a form feed in
 # its field, which int() and float() strip; each EAR row ends in its tail
-@pytest.mark.parametrize("end, tails", [
-    pytest.param("\n", [""], id="\n"),
-    pytest.param("\r\n", [""], id="\r\n"),
-    pytest.param("\r", [""], id="\r"),
-    pytest.param("\n", ["", "\r"], id="mixed"),  # "\n" and "\r\n" in turn
-    pytest.param("\n", ["\x0c"], id="form-feed"),
+@pytest.mark.parametrize("end, tails, heads", [
+    pytest.param("\n", [""], PLAIN_HEADS, id="\n"),
+    pytest.param("\r\n", [""], PLAIN_HEADS, id="\r\n"),
+    pytest.param("\r", [""], PLAIN_HEADS, id="\r"),
+    pytest.param("\n", ["", "\r"], PLAIN_HEADS, id="mixed"),  # "\n" and "\r\n" in turn
+    pytest.param("\n", ["\x0c"], PLAIN_HEADS, id="form-feed"),
+    # the header is read by the csv rules, so a quoted header field is the plain one
+    pytest.param("\r\n", [""], ('"frame_id",ts_us,"ear"', 'id,"score",label'),
+                 id="quoted-header"),
 ])
-def test_plainly_clean_files_are_read_in_chunks(tmp_path, no_row_reader, end, tails):
+def test_plainly_clean_files_are_read_in_chunks(tmp_path, no_row_reader, end, tails, heads):
     path = tmp_path / "ear.csv"
     rows = [row + tail for row, tail in zip(ear_lines(9000), cycle(tails))]
     # blank lines are skipped, and the last line may lack its end
-    write_ear_text(path, rows[:10] + ["", ""] + rows[10:], end, last_end=False)
+    write_ear_text(path, rows[:10] + ["", ""] + rows[10:], end, last_end=False, head=heads[0])
     series = read_ear_csv(path)
     assert len(series) == 9000
     assert series.frame_id[-1] == 8999 and series.ear[-1] == 0.3 - (8999 % 7) / 100
     scores = tmp_path / "scores.csv"
     with open(scores, "w", newline="") as fh:
-        fh.write(end.join(["id,score,label", "0,2.5,0", "1,7.5,10", "2,6.0,10"]) + end)
+        fh.write(end.join([heads[1], "0,2.5,0", "1,7.5,10", "2,6.0,10"]) + end)
     assert read_scores_csv(scores) == ScoreTally((6.0, 7.5), (2.5,))
 
 

@@ -144,6 +144,10 @@ class TestGenEarSeries:
         config = BlinkDetectionConfig(close_threshold=0.32 - shoulder_gap / 2)
         assert detect_blinks(series, config) == truth
 
+    def test_evenly_spaced_script_needs_a_blink_count(self):
+        with pytest.raises(ValueError, match="^n_blinks must be >= 0, got -1$"):
+            evenly_spaced_script(-1)
+
     def test_evenly_spaced_script_layout(self):
         script = evenly_spaced_script(3)
         assert [b.onset_frame for b in script.blinks] == [20, 60, 100]

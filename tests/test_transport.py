@@ -272,6 +272,13 @@ class TestEchoServer:
         assert echo_of(cut_off_frame()).startswith(reply)
         assert thread_errors == []
 
+    def test_ipv6_loopback_session(self, ipv6_loopback):
+        with EchoServer(ipv6_loopback) as server:
+            host, port = server.address
+            assert host == "::1"
+            records = stream_and_measure(host, port, 200, 3, 16, 12)
+        assert [r.frame_id for r in records] == [0, 1, 2]
+
     def test_sessions_leave_no_descriptor_open(self):
         fds = Path("/proc/self/fd")
         if not fds.is_dir():
@@ -330,6 +337,35 @@ def test_splice_relay_keeps_the_payload_out_of_the_process():
     assert reply.startswith(echo_of(wire))
     # the copy relay reads the 2.7 MB frame into a buffer: about 3.4 MiB
     assert peak < 64 * 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "splice"), reason="os.splice is Linux-only")
+def test_relay_pipe_keeps_its_default_size_where_it_cannot_grow(monkeypatch):
+    import fcntl
+
+    real_fcntl = fcntl.fcntl
+    refused = []
+
+    def refuse_to_resize(fd, cmd, *args):
+        if cmd == fcntl.F_SETPIPE_SZ:
+            refused.append(fd)
+            raise PermissionError("beyond the user's pipe quota")
+        return real_fcntl(fd, cmd, *args)
+
+    monkeypatch.setattr(fcntl, "fcntl", refuse_to_resize)
+    read_end, write_end, size = transport._open_pipe()
+    try:
+        assert size == real_fcntl(write_end, fcntl.F_GETPIPE_SZ) < transport._PIPE_SIZE
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    wire = encode_frame(FrameMessage(MessageType.FRAME, 1, 2, 1280, 720, PixelFormat.RGB24,
+                                     pattern(1280 * 720 * 3, 1)))
+    reply = bytearray(len(wire) + ECHO_TRAILER_SIZE)
+    with EchoServer() as server, connect(server.address) as sock:
+        echo_into(sock, wire, reply)
+    assert len(refused) == 2  # this test's pipe and the relay's
+    assert reply.startswith(echo_of(wire))
 
 
 def assert_closed_without_reply(sock: socket.socket) -> None:
